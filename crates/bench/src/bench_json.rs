@@ -19,10 +19,18 @@
 //! Everything else (`extra` fields like speedups, quota settings,
 //! per-backend work stats) is scenario-specific and additive — readers
 //! must ignore keys they do not know.
+//!
+//! The validator also enforces the invariants of the self-checking
+//! studies, so a stale or red record cannot pass CI on its schema
+//! alone: a `conformance` record must list exactly one row per backend
+//! of [`problp_conformance::BackendKind::ALL`] and carry
+//! `all_match: true`, and a `kernels` record must carry
+//! `identical: true`.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
+use problp_conformance::BackendKind;
 use problp_telemetry::{HistogramSnapshot, JsonValue};
 
 /// The schema tag every `BENCH_*.json` carries; bump on breaking
@@ -106,14 +114,15 @@ impl BenchRecord {
     }
 }
 
-/// Checks that `text` parses as JSON and carries every required
-/// `problp-bench/v1` key with the right type; the error string names
-/// the first violation.
+/// Checks that `text` parses as JSON, carries every required
+/// `problp-bench/v1` key with the right type, and holds its scenario's
+/// invariants (see the [module docs](self)); the error string names the
+/// first violation.
 ///
 /// # Errors
 ///
-/// Returns a description of the first missing/mistyped key, or the
-/// parse error.
+/// Returns a description of the first missing/mistyped key or broken
+/// invariant, or the parse error.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let doc = JsonValue::parse(text).map_err(|e| e.to_string())?;
     let schema = doc
@@ -123,7 +132,8 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
     if schema != BENCH_SCHEMA {
         return Err(format!("schema is {schema:?}, expected {BENCH_SCHEMA:?}"));
     }
-    doc.get("scenario")
+    let scenario = doc
+        .get("scenario")
         .and_then(JsonValue::as_str)
         .ok_or("missing string key \"scenario\"")?;
     for key in ["requests", "throughput_rps", "rejects"] {
@@ -145,7 +155,24 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
             None => return Err(format!("missing latency_us key {key:?}")),
         }
     }
-    Ok(())
+    let verdict = match scenario {
+        "conformance" => {
+            let listed = doc.get("backends").and_then(JsonValue::as_array);
+            let (listed, matrix) = (listed.map_or(0, |b| b.len()), BackendKind::ALL.len());
+            if listed != matrix {
+                return Err(format!(
+                    "conformance record lists {listed} backends, the matrix has {matrix}"
+                ));
+            }
+            "all_match"
+        }
+        "kernels" => "identical",
+        _ => return Ok(()),
+    };
+    match doc.get(verdict) {
+        Some(JsonValue::Bool(true)) => Ok(()),
+        other => Err(format!("{verdict} must be true, got {other:?}")),
+    }
 }
 
 /// [`BenchRecord`] for the mixed-tenant serving study
@@ -405,12 +432,7 @@ pub fn kernels_bench_record(study: &crate::KernelStudy) -> BenchRecord {
             JsonValue::Object(vec![
                 ("arith".to_string(), JsonValue::from(r.arith)),
                 ("scalar_eps".to_string(), JsonValue::from(r.scalar_eps)),
-                ("simd_eps".to_string(), JsonValue::from(r.simd_eps)),
                 ("fused_eps".to_string(), JsonValue::from(r.fused_eps)),
-                (
-                    "simd_speedup".to_string(),
-                    JsonValue::from(r.simd_speedup()),
-                ),
                 (
                     "fused_speedup".to_string(),
                     JsonValue::from(r.fused_speedup()),
@@ -505,12 +527,45 @@ mod tests {
         validate_bench_json(&text).expect("conformance record validates");
         let doc = JsonValue::parse(&text).unwrap();
         assert_eq!(doc.get("all_match"), Some(&JsonValue::Bool(true)));
-        assert!(
+        assert_eq!(
             doc.get("backends")
                 .and_then(JsonValue::as_array)
-                .is_some_and(|b| b.len() >= 3),
-            "expected scalar/tape/schedule/pipeline backend rows"
+                .map(|b| b.len()),
+            Some(BackendKind::ALL.len()),
+            "one row per backend of the matrix"
         );
+    }
+
+    #[test]
+    fn validator_rejects_stale_or_red_study_records() {
+        let head = r#""schema": "problp-bench/v1", "requests": 1,
+            "throughput_rps": 2.0, "rejects": 0,
+            "latency_us": {"p50": null, "p90": null, "p99": null, "max": null}"#;
+        let rows = |n: usize| vec![r#"{"backend": "x"}"#; n].join(", ");
+        let all = BackendKind::ALL.len();
+        let conformance = |n: usize, all_match: bool| {
+            format!(
+                r#"{{{head}, "scenario": "conformance", "all_match": {all_match},
+                "backends": [{}]}}"#,
+                rows(n)
+            )
+        };
+        validate_bench_json(&conformance(all, true)).expect("current matrix validates");
+        assert!(validate_bench_json(&conformance(5, true))
+            .unwrap_err()
+            .contains("lists 5 backends"));
+        assert!(validate_bench_json(&conformance(all, false))
+            .unwrap_err()
+            .contains("all_match"));
+        let kernels = |identical: bool| {
+            format!(r#"{{{head}, "scenario": "kernels", "identical": {identical}}}"#)
+        };
+        validate_bench_json(&kernels(true)).expect("identical kernels validate");
+        assert!(validate_bench_json(&kernels(false))
+            .unwrap_err()
+            .contains("identical"));
+        let no_flag = format!(r#"{{{head}, "scenario": "kernels"}}"#);
+        assert!(validate_bench_json(&no_flag).is_err());
     }
 
     #[test]

@@ -908,18 +908,12 @@ pub struct KernelStudyRow {
     pub arith: &'static str,
     /// Scalar-kernel batched engine evaluations per second.
     pub scalar_eps: f64,
-    /// SIMD lane-chunked kernel evaluations per second.
-    pub simd_eps: f64,
-    /// Fused superinstruction (SIMD-backed) evaluations per second.
+    /// Fused superinstruction (vectorized row kernel) evaluations per
+    /// second.
     pub fused_eps: f64,
 }
 
 impl KernelStudyRow {
-    /// Speedup of the SIMD kernels over the scalar tape walk.
-    pub fn simd_speedup(&self) -> f64 {
-        self.simd_eps / self.scalar_eps
-    }
-
     /// Speedup of the fused stream over the scalar tape walk.
     pub fn fused_speedup(&self) -> f64 {
         self.fused_eps / self.scalar_eps
@@ -927,7 +921,7 @@ impl KernelStudyRow {
 }
 
 /// The evaluator-kernel study: single-core Alarm marginal sweeps at one
-/// batch size, scalar vs SIMD vs fused kernels per arithmetic, with the
+/// batch size, scalar vs fused kernels per arithmetic, with the
 /// fusion statistics and an in-run bit-identity cross-check.
 #[derive(Clone, Debug)]
 pub struct KernelStudy {
@@ -997,7 +991,7 @@ pub fn kernel_study(batch_size: usize) -> KernelStudy {
             .map(|&k| base.clone().with_kernel(k))
             .collect();
         let reference = bits(&engines[0]);
-        let mut rates = [0.0f64; 3];
+        let mut rates = [0.0f64; KernelKind::ALL.len()];
         for (i, e) in engines.iter().enumerate() {
             *identical &= bits(e) == reference;
             let start = std::time::Instant::now();
@@ -1011,8 +1005,7 @@ pub fn kernel_study(batch_size: usize) -> KernelStudy {
         KernelStudyRow {
             arith,
             scalar_eps: rates[0],
-            simd_eps: rates[1],
-            fused_eps: rates[2],
+            fused_eps: rates[1],
         }
     }
 
@@ -1049,18 +1042,16 @@ pub fn render_kernel_study(study: &KernelStudy) -> String {
         study.batch
     ));
     out.push_str(&format!(
-        "{:>11} | {:>12} | {:>12} | {:>12} | {:>7} | {:>7}\n",
-        "arith", "scalar tape", "simd", "fused", "simd x", "fused x"
+        "{:>11} | {:>12} | {:>12} | {:>7}\n",
+        "arith", "scalar tape", "fused", "fused x"
     ));
-    out.push_str(&format!("{}\n", "-".repeat(78)));
+    out.push_str(&format!("{}\n", "-".repeat(52)));
     for r in &study.rows {
         out.push_str(&format!(
-            "{:>11} | {:>12.0} | {:>12.0} | {:>12.0} | {:>6.1}x | {:>6.1}x\n",
+            "{:>11} | {:>12.0} | {:>12.0} | {:>6.1}x\n",
             r.arith,
             r.scalar_eps,
-            r.simd_eps,
             r.fused_eps,
-            r.simd_speedup(),
             r.fused_speedup()
         ));
     }

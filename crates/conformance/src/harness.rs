@@ -312,29 +312,6 @@ where
         });
     }
 
-    // SIMD lane-chunked kernels over the unfused compact tape.
-    {
-        let simd_engine = engine.clone().with_kernel(KernelKind::Simd);
-        let start = Instant::now();
-        let result = simd_engine.evaluate_batch(batch)?;
-        let wall = start.elapsed();
-        let mut bits: Vec<u64> = result
-            .values
-            .iter()
-            .map(|v| simd_engine.context().to_f64(v).to_bits())
-            .collect();
-        maybe_inject(&mut bits, BackendKind::SimdCompact, config);
-        let (mismatched, first) = diff(&reference, &bits);
-        backends.push(BackendRun {
-            backend: BackendKind::SimdCompact,
-            mismatched_lanes: mismatched,
-            first_mismatch: first,
-            wall,
-            work: simd_engine.tape().stats().instrs as u64 * lanes as u64,
-            range_flag: range_flag(result.flags, BackendKind::SimdCompact, config),
-        });
-    }
-
     // The hardware executors implement the sum/product datapath only.
     if semiring == Semiring::SumProduct {
         let netlist = Netlist::from_ac(bin, netlist_repr(arith))?;

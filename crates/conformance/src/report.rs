@@ -157,7 +157,7 @@ impl std::fmt::Display for ConformanceReport {
         writeln!(
             f,
             "backends: scalar reference vs tape, tape-full, fused-compact, \
-             fused-full, simd-compact, schedule, pipeline \
+             fused-full, schedule, pipeline \
              (hardware joins sum-product cases)"
         )?;
         writeln!(
@@ -170,7 +170,7 @@ impl std::fmt::Display for ConformanceReport {
         writeln!(f)?;
         writeln!(
             f,
-            "{:<14} {:<12} {:<12} {:>7} {:<8}  {:<10} {:<10} {:<10} {:<10} {:<10} {:<10} {:<10}  {:>10} {:>11}",
+            "{:<14} {:<12} {:<12} {:>7} {:<8}  {:<10} {:<10} {:<10} {:<10} {:<10} {:<10}  {:>10} {:>11}",
             "model",
             "arith",
             "semiring",
@@ -180,7 +180,6 @@ impl std::fmt::Display for ConformanceReport {
             "tape-full",
             "fused",
             "fused-full",
-            "simd",
             "schedule",
             "pipeline",
             "pipe cyc",
@@ -229,7 +228,7 @@ impl std::fmt::Display for ConformanceReport {
             };
             writeln!(
                 f,
-                "{:<14} {:<12} {:<12} {:>7} {:<8}  {:<10} {:<10} {:<10} {:<10} {:<10} {:<10} {:<10}  {:>10} {:>11}",
+                "{:<14} {:<12} {:<12} {:>7} {:<8}  {:<10} {:<10} {:<10} {:<10} {:<10} {:<10}  {:>10} {:>11}",
                 case.model,
                 case.arith.to_string(),
                 semiring_name(case.semiring),
@@ -239,7 +238,6 @@ impl std::fmt::Display for ConformanceReport {
                 cell(BackendKind::TapeFull),
                 cell(BackendKind::FusedCompact),
                 cell(BackendKind::FusedFull),
-                cell(BackendKind::SimdCompact),
                 cell(BackendKind::Schedule),
                 cell(BackendKind::Pipeline),
                 pipe_cycles,

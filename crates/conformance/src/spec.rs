@@ -10,7 +10,7 @@ use problp_num::{FixedFormat, FloatFormat};
 // `problp_conformance::ArithSpec` callers keep compiling.
 pub use problp_num::ArithSpec;
 
-/// One of the eight result streams the harness compares.
+/// One of the seven result streams the harness compares.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BackendKind {
     /// The scalar tree-walk reference, [`problp_ac::AcGraph::evaluate_nodes`].
@@ -25,9 +25,6 @@ pub enum BackendKind {
     /// The full-values tape through the fused stream (chain collapse
     /// only — `MulAcc` is compact-mode-only by construction).
     FusedFull,
-    /// The compact tape through the SIMD lane-chunked kernels
-    /// ([`problp_engine::KernelKind::Simd`]).
-    SimdCompact,
     /// The sequential ALU schedule, [`problp_hw::Schedule`].
     Schedule,
     /// The cycle-accurate pipelined datapath, [`problp_hw::PipelineSim`].
@@ -36,13 +33,12 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every backend, in report order (the reference first).
-    pub const ALL: [BackendKind; 8] = [
+    pub const ALL: [BackendKind; 7] = [
         BackendKind::Scalar,
         BackendKind::TapeCompact,
         BackendKind::TapeFull,
         BackendKind::FusedCompact,
         BackendKind::FusedFull,
-        BackendKind::SimdCompact,
         BackendKind::Schedule,
         BackendKind::Pipeline,
     ];
@@ -55,7 +51,6 @@ impl BackendKind {
             BackendKind::TapeFull => "tape-full",
             BackendKind::FusedCompact => "fused-compact",
             BackendKind::FusedFull => "fused-full",
-            BackendKind::SimdCompact => "simd-compact",
             BackendKind::Schedule => "schedule",
             BackendKind::Pipeline => "pipeline",
         }

@@ -58,7 +58,6 @@ fn fault_injection_turns_the_verdict_red() {
         BackendKind::TapeFull,
         BackendKind::FusedCompact,
         BackendKind::FusedFull,
-        BackendKind::SimdCompact,
         BackendKind::Schedule,
         BackendKind::Pipeline,
     ] {
@@ -139,8 +138,11 @@ fn single_arith_single_semiring_configs_narrow_the_matrix() {
     let report = run_conformance(&small_models(), &config).unwrap();
     assert_eq!(report.cases.len(), 2);
     assert!(report.all_match(), "{report}");
-    // Sum-product cases carry all eight streams.
-    assert!(report.cases.iter().all(|c| c.backends.len() == 8));
+    // Sum-product cases carry every stream of the matrix.
+    assert!(report
+        .cases
+        .iter()
+        .all(|c| c.backends.len() == BackendKind::ALL.len()));
 }
 
 #[test]
@@ -183,7 +185,7 @@ fn injected_runtime_flag_on_a_safe_case_turns_the_verdict_red() {
     let config = ConformanceConfig {
         batch: 8,
         ariths: vec![ArithSpec::F64],
-        inject_flag_fault: Some(BackendKind::SimdCompact),
+        inject_flag_fault: Some(BackendKind::FusedCompact),
         ..ConformanceConfig::default()
     };
     let report = run_conformance(&models, &config).unwrap();

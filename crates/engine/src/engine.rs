@@ -19,6 +19,13 @@
 //! converted via [`Arith::from_f64`] once at engine construction and
 //! broadcast into their pinned rows once per shard.
 //!
+//! Register files are reused: a shard takes one from a small free list
+//! on the engine, re-initialises it (zero fill, parameter broadcast) and
+//! hands it back when the sweep ends, so steady-state serving allocates
+//! no register memory. The list retains at most one file per
+//! concurrently sweeping shard, and only files no larger than the
+//! default block's (~512 KiB); a cloned engine starts with an empty list.
+//!
 //! Flag capture comes in two grades: [`Engine::evaluate_batch`] returns
 //! the sticky [`Flags`] aggregated over the whole batch (what
 //! `measure_errors` needs), while [`Engine::evaluate_batch_flagged`]
@@ -26,13 +33,15 @@
 //! per-lane flags — the input the fixed/float range analyses need to
 //! pinpoint which instance violated a format's range.
 
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
 use problp_ac::{AcGraph, Semiring};
 use problp_bayes::{Evidence, EvidenceBatch, VarId};
 use problp_num::{Arith, Flags};
 
 use crate::error::{panic_message, EngineError};
 use crate::fuse::{BinOp, FuseStats, FusedInstr, FusedTape};
-use crate::kernels::{min_nz, KernelKind, KernelSet};
+use crate::kernels::{min_nz, scalar_bin_rows, KernelKind, KernelSet};
 use crate::tape::{Instr, Tape, TapeMode};
 
 /// Target byte size of one worker's SoA register file: small enough to
@@ -47,6 +56,42 @@ fn default_chunk(num_regs: usize, value_bytes: usize) -> usize {
 
 /// Below this many lanes per thread, sharding costs more than it saves.
 const MIN_LANES_PER_THREAD: usize = 32;
+
+/// The default worker-thread count: all available cores, queried once
+/// per process (the query reads cgroup files on Linux, and every model
+/// registration builds two engines).
+fn all_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The free list of SoA register files behind [`Engine::evaluate_batch`]
+/// (see the module docs). Files are scratch space, not engine state:
+/// every sweep re-initialises the one it takes, and a clone starts
+/// empty.
+struct RegFiles<V>(Mutex<Vec<Vec<V>>>);
+
+impl<V> RegFiles<V> {
+    /// Locks the list, recovering from poisoning: it only ever holds
+    /// whole files, and no code panics while holding the lock.
+    fn lock(&self) -> MutexGuard<'_, Vec<Vec<V>>> {
+        self.0
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+impl<V> Clone for RegFiles<V> {
+    fn clone(&self) -> Self {
+        RegFiles(Mutex::default())
+    }
+}
+
+impl<V> std::fmt::Debug for RegFiles<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RegFiles({} retained)", self.lock().len())
+    }
+}
 
 /// The result of a batch evaluation.
 #[derive(Clone, Debug)]
@@ -107,11 +152,11 @@ pub struct Engine<A: Arith> {
     pub(crate) one: A::Value,
     pub(crate) threads: usize,
     chunk: usize,
-    /// Which evaluator core batch sweeps dispatch through.
-    kernel: KernelKind,
-    /// The fused superinstruction stream, present iff `kernel` is
-    /// [`KernelKind::Fused`].
+    /// The fused superinstruction stream batch sweeps run, present iff
+    /// the engine runs the [`KernelKind::Fused`] core.
     fused: Option<FusedTape>,
+    /// Retained SoA register files of finished sweeps.
+    regfiles: RegFiles<A::Value>,
 }
 
 impl<A> Engine<A>
@@ -138,10 +183,10 @@ where
             const_flags,
             zero,
             one,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: all_cores(),
             chunk,
-            kernel: KernelKind::Scalar,
             fused: None,
+            regfiles: RegFiles(Mutex::default()),
         }
     }
 
@@ -170,11 +215,7 @@ where
     /// available cores — the CLI's `--threads 0` convention); `1` forces
     /// single-threaded evaluation.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
+        self.threads = if threads == 0 { all_cores() } else { threads };
         self
     }
 
@@ -188,26 +229,30 @@ where
 
     /// Selects the evaluator core batch sweeps run through (see
     /// [`KernelKind`] and the [`crate::kernels`] module docs). The
-    /// default is [`KernelKind::Scalar`] — the reference path every other
-    /// kernel is proven bit-identical to. [`KernelKind::Fused`] runs the
-    /// tape through the peephole fuser ([`Tape::fuse`]) here, once.
+    /// default is [`KernelKind::Scalar`] — the reference path the fused
+    /// core is proven bit-identical to. [`KernelKind::Fused`] runs the
+    /// tape through the peephole fuser ([`Tape::fuse`]) here, once; it is
+    /// what every [`crate::CircuitPool`] engine runs.
     ///
     /// The scalar single-instance paths ([`Engine::evaluate_one`],
     /// [`Engine::evaluate_nodes_one`]) and the per-lane flag capture
     /// ([`Engine::evaluate_batch_flagged`]) always run the reference
     /// instruction stream regardless of this setting.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
         self.fused = match kernel {
             KernelKind::Fused => Some(self.tape.fuse()),
-            _ => None,
+            KernelKind::Scalar => None,
         };
         self
     }
 
     /// The evaluator core selected by [`Engine::with_kernel`].
     pub fn kernel(&self) -> KernelKind {
-        self.kernel
+        if self.fused.is_some() {
+            KernelKind::Fused
+        } else {
+            KernelKind::Scalar
+        }
     }
 
     /// The fused superinstruction stream, when the engine runs the
@@ -503,7 +548,12 @@ where
         ctx.clear_flags();
         let num_regs = self.tape.num_regs();
         let chunk = self.chunk.min(out.len().max(1));
-        let mut regs: Vec<A::Value> = vec![self.zero.clone(); num_regs * chunk];
+        // A reused file is re-initialised exactly as a fresh one would
+        // be: zero everywhere, then the parameter rows.
+        let mut regs = self.regfiles.lock().pop().unwrap_or_default();
+        regs.clear();
+        regs.reserve_exact(num_regs * chunk);
+        regs.resize(num_regs * chunk, self.zero.clone());
         // Pinned parameter rows are written once: no instruction ever uses
         // them as a destination.
         for (c, &p) in self.consts.iter().zip(self.tape.param_regs()) {
@@ -516,18 +566,20 @@ where
         while done < out.len() {
             let n = chunk.min(out.len() - done);
             let base = start + done;
-            match (self.kernel, &self.fused) {
-                (KernelKind::Fused, Some(fused)) => {
+            match &self.fused {
+                Some(fused) => {
                     self.sweep_chunk_fused(&mut ctx, batch, fused, &mut regs, chunk, base, n);
                 }
-                (KernelKind::Simd, _) => {
-                    self.sweep_chunk_simd(&mut ctx, batch, &mut regs, chunk, base, n);
-                }
-                _ => self.sweep_chunk_scalar(&mut ctx, batch, &mut regs, chunk, base, n),
+                None => self.sweep_chunk_scalar(&mut ctx, batch, &mut regs, chunk, base, n),
             }
             let root = self.tape.root_reg() as usize * chunk;
             out[done..done + n].clone_from_slice(&regs[root..root + n]);
             done += n;
+        }
+        // Retain only files no larger than the default block's.
+        let value_bytes = std::mem::size_of::<A::Value>();
+        if regs.capacity() <= num_regs * default_chunk(num_regs, value_bytes) {
+            self.regfiles.lock().push(regs);
         }
         ctx.flags()
     }
@@ -558,8 +610,8 @@ where
     }
 
     /// One lane block through the reference scalar core: per-instruction
-    /// loops through the `Arith` context, exactly the semantics every
-    /// other kernel is proven bit-identical to.
+    /// loops through the `Arith` context, exactly the semantics the fused
+    /// core is proven bit-identical to.
     fn sweep_chunk_scalar(
         &self,
         ctx: &mut A,
@@ -569,84 +621,23 @@ where
         base: usize,
         n: usize,
     ) {
-        for instr in self.tape.instrs() {
-            match *instr {
-                Instr::LoadIndicator { dst, slot } => {
-                    self.load_indicator_chunk(batch, regs, chunk, dst, slot, base, n);
-                }
-                Instr::Add { dst, lhs, rhs } => {
-                    let (d, a, b) = (
-                        dst as usize * chunk,
-                        lhs as usize * chunk,
-                        rhs as usize * chunk,
-                    );
-                    for l in 0..n {
-                        let v = ctx.add(&regs[a + l], &regs[b + l]);
-                        regs[d + l] = v;
-                    }
-                }
-                Instr::Mul { dst, lhs, rhs } => {
-                    let (d, a, b) = (
-                        dst as usize * chunk,
-                        lhs as usize * chunk,
-                        rhs as usize * chunk,
-                    );
-                    for l in 0..n {
-                        let v = ctx.mul(&regs[a + l], &regs[b + l]);
-                        regs[d + l] = v;
-                    }
-                }
-                Instr::Max { dst, lhs, rhs } => {
-                    let (d, a, b) = (
-                        dst as usize * chunk,
-                        lhs as usize * chunk,
-                        rhs as usize * chunk,
-                    );
-                    for l in 0..n {
-                        let v = ctx.max(&regs[a + l], &regs[b + l]);
-                        regs[d + l] = v;
-                    }
-                }
-                Instr::MinNz { dst, lhs, rhs } => {
-                    let (d, a, b) = (
-                        dst as usize * chunk,
-                        lhs as usize * chunk,
-                        rhs as usize * chunk,
-                    );
-                    for l in 0..n {
-                        let v = min_nz(ctx, &regs[a + l], &regs[b + l]);
-                        regs[d + l] = v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// One lane block through the lane-chunked vector kernels on the
-    /// unfused tape ([`KernelKind::Simd`]).
-    fn sweep_chunk_simd(
-        &self,
-        ctx: &mut A,
-        batch: &EvidenceBatch,
-        regs: &mut [A::Value],
-        chunk: usize,
-        base: usize,
-        n: usize,
-    ) {
-        for instr in self.tape.instrs() {
-            if let Instr::LoadIndicator { dst, slot } = *instr {
-                self.load_indicator_chunk(batch, regs, chunk, dst, slot, base, n);
-            } else {
-                let (op, dst, lhs, rhs) =
-                    BinOp::decode(*instr).expect("non-indicator instructions are binary");
-                ctx.bin_rows(
+        for &instr in self.tape.instrs() {
+            match BinOp::decode(instr) {
+                Some((op, dst, lhs, rhs)) => scalar_bin_rows(
+                    ctx,
                     op,
                     regs,
                     dst as usize * chunk,
                     lhs as usize * chunk,
                     rhs as usize * chunk,
                     n,
-                );
+                ),
+                None => {
+                    let Instr::LoadIndicator { dst, slot } = instr else {
+                        unreachable!("decode returns None only for LoadIndicator")
+                    };
+                    self.load_indicator_chunk(batch, regs, chunk, dst, slot, base, n);
+                }
             }
         }
     }

@@ -208,47 +208,29 @@ impl std::fmt::Display for FusedTape {
     }
 }
 
-/// Per-register occurrence table: at which instruction indices a register
-/// is read or written, in stream order (reads of an index precede its
-/// write, matching evaluation order).
-struct RegEvents {
-    /// `events[reg]` = ordered `(instr index, is_read)` pairs.
-    events: Vec<Vec<(u32, bool)>>,
-}
-
-impl RegEvents {
-    fn build(instrs: &[Instr], num_regs: usize) -> Self {
-        let mut events: Vec<Vec<(u32, bool)>> = vec![Vec::new(); num_regs];
-        for (i, &instr) in instrs.iter().enumerate() {
-            let i = i as u32;
-            match instr {
-                Instr::LoadIndicator { dst, .. } => events[dst as usize].push((i, false)),
-                Instr::Add { dst, lhs, rhs }
-                | Instr::Mul { dst, lhs, rhs }
-                | Instr::Max { dst, lhs, rhs }
-                | Instr::MinNz { dst, lhs, rhs } => {
-                    events[lhs as usize].push((i, true));
-                    events[rhs as usize].push((i, true));
-                    events[dst as usize].push((i, false));
-                }
-            }
+/// Scratch-register liveness for the `MulAcc` rule, in one backward
+/// pass over a flat per-register table. `dead[i]` says whether the
+/// register instruction `i` writes is dead after instruction `i + 1`:
+/// past that point it is overwritten before any read, or never touched
+/// again. (Root registers are never dead — the caller excludes them.)
+fn dead_after_next(instrs: &[Instr], num_regs: usize) -> Vec<bool> {
+    // `read_next[r]`: the first access to `r` past the scan point is a
+    // read (a write, or no access at all, leaves the value dead).
+    let mut read_next = vec![false; num_regs];
+    let mut dead = vec![true; instrs.len()];
+    for k in (0..instrs.len()).rev() {
+        if k > 0 {
+            dead[k - 1] = !read_next[instrs[k - 1].dst() as usize];
         }
-        RegEvents { events }
-    }
-
-    /// Whether `reg`'s value as of instruction `after` is dead: never
-    /// read again before its next write (root registers are never dead —
-    /// the caller excludes them).
-    fn dead_after(&self, reg: u32, after: u32) -> bool {
-        for &(i, is_read) in &self.events[reg as usize] {
-            if i > after {
-                // First occurrence past `after` settles it: a write kills
-                // the old value, a read keeps it live.
-                return !is_read;
-            }
+        // An instruction reads its operands before writing its
+        // destination, so the reads are the earlier accesses and win.
+        read_next[instrs[k].dst() as usize] = false;
+        if let Some((_, _, lhs, rhs)) = BinOp::decode(instrs[k]) {
+            read_next[lhs as usize] = true;
+            read_next[rhs as usize] = true;
         }
-        true
     }
+    dead
 }
 
 /// Extends `out`/`operands` with the maximal accumulator run continuing
@@ -311,7 +293,11 @@ impl Tape {
         // MulAcc elides a scratch register, which is only legal where
         // registers are not observable per-node outputs.
         let mul_acc_ok = self.mode() == TapeMode::Compact;
-        let events = RegEvents::build(instrs, self.num_regs());
+        let dead = if mul_acc_ok {
+            dead_after_next(instrs, self.num_regs())
+        } else {
+            Vec::new()
+        };
 
         let mut i = 0;
         while i < instrs.len() {
@@ -331,8 +317,7 @@ impl Tape {
             // with the same value the unfused stream left there).
             if mul_acc_ok && op == BinOp::Mul && i + 1 < instrs.len() {
                 if let Some((cop, cdst, clhs, crhs)) = BinOp::decode(instrs[i + 1]) {
-                    let scratch_dead = cdst == dst
-                        || (dst != self.root_reg() && events.dead_after(dst, i as u32 + 1));
+                    let scratch_dead = cdst == dst || (dst != self.root_reg() && dead[i]);
                     if crhs == dst && clhs != dst && scratch_dead {
                         out.push(FusedInstr::MulAcc {
                             op: cop,
@@ -402,8 +387,9 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use problp_ac::{AcGraph, Semiring};
-    use problp_bayes::VarId;
+    use problp_ac::{transform::binarize, AcGraph, Semiring};
+    use problp_bayes::{networks, VarId};
+    use proptest::prelude::*;
 
     fn v(i: usize) -> VarId {
         VarId::from_index(i)
@@ -483,13 +469,7 @@ mod tests {
             }
         }
         for instr in tape.instrs() {
-            let dst = match *instr {
-                Instr::LoadIndicator { dst, .. }
-                | Instr::Add { dst, .. }
-                | Instr::Mul { dst, .. }
-                | Instr::Max { dst, .. }
-                | Instr::MinNz { dst, .. } => dst,
-            };
+            let dst = instr.dst();
             assert!(written[dst as usize], "register {dst} lost its write");
         }
     }
@@ -511,5 +491,93 @@ mod tests {
             });
             assert!(has_op, "{semiring:?} lowers sums to {op:?}");
         }
+    }
+
+    /// The per-register definition the backward pass replaces: walk the
+    /// stream past `after` (an instruction's reads before its write) and
+    /// let the first access to `reg` decide.
+    fn dead_after_reference(instrs: &[Instr], reg: u32, after: usize) -> bool {
+        for instr in instrs.iter().skip(after + 1) {
+            if let Some((_, _, lhs, rhs)) = BinOp::decode(*instr) {
+                if lhs == reg || rhs == reg {
+                    return false;
+                }
+            }
+            if instr.dst() == reg {
+                return true;
+            }
+        }
+        true
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// On random circuits, raw and binarized, in both tape modes and
+        /// all three semirings: the backward liveness pass agrees with
+        /// the per-register definition at every instruction, and the
+        /// stream it drives passes the fused-stream verifier.
+        #[test]
+        fn liveness_matches_the_per_register_definition(
+            seed in 0u64..1000,
+            vars in 3usize..9,
+        ) {
+            let net = networks::random_network(seed, vars, 3, 3);
+            let raw = problp_ac::compile(&net).unwrap();
+            let bin = binarize(&raw).unwrap();
+            for ac in [&raw, &bin] {
+                for semiring in [
+                    Semiring::SumProduct,
+                    Semiring::MaxProduct,
+                    Semiring::MinProduct,
+                ] {
+                    for tape in [
+                        Tape::compile(ac, semiring).unwrap(),
+                        Tape::compile_full(ac, semiring).unwrap(),
+                    ] {
+                        let instrs = tape.instrs();
+                        let dead = dead_after_next(instrs, tape.num_regs());
+                        for (i, instr) in instrs.iter().enumerate() {
+                            prop_assert_eq!(
+                                dead[i],
+                                dead_after_reference(instrs, instr.dst(), i + 1),
+                                "instr {} of {:?} {:?}", i, tape.mode(), semiring
+                            );
+                        }
+                        prop_assert_eq!(tape.verify_fused(&tape.fuse()), Ok(()));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The Alarm fusion counts the serving figures rest on: the compact
+    /// tape fuses one `MulAcc`, the full-values tape none (it elides no
+    /// register), and both collapse the same 1300 chains.
+    #[test]
+    fn alarm_fuse_stats_are_pinned() {
+        let ac = problp_ac::compile(&networks::alarm(7)).unwrap();
+        let compact = Tape::compile(&ac, Semiring::SumProduct).unwrap().fuse();
+        assert_eq!(
+            compact.stats(),
+            FuseStats {
+                source_instrs: 3988,
+                fused_instrs: 1900,
+                mul_accs: 1,
+                reduces: 1300,
+            }
+        );
+        let full = Tape::compile_full(&ac, Semiring::SumProduct)
+            .unwrap()
+            .fuse();
+        assert_eq!(
+            full.stats(),
+            FuseStats {
+                source_instrs: 3988,
+                fused_instrs: 1901,
+                mul_accs: 0,
+                reduces: 1300,
+            }
+        );
     }
 }

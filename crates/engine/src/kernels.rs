@@ -2,23 +2,25 @@
 //!
 //! # Dispatch model
 //!
-//! [`crate::Engine::evaluate_batch`] runs one of three evaluator cores,
-//! selected at runtime by [`KernelKind`] (see
-//! [`crate::Engine::with_kernel`]):
+//! [`crate::Engine::evaluate_batch`] runs one of two evaluator cores,
+//! selected by [`KernelKind`] (see [`crate::Engine::with_kernel`]):
 //!
 //! * **`Scalar`** — the reference: per-instruction loops through the
-//!   [`problp_num::Arith`] context, exactly as PR 1 shipped. Every other
-//!   kernel is defined as "bit-identical to this".
-//! * **`Simd`** — the same unfused tape, but each instruction's lane loop
-//!   goes through this trait, whose vectorized implementations process
-//!   fixed-width chunks of [`LANE_WIDTH`] lanes that the compiler can
-//!   keep in vector registers (portable `core::simd`-style: plain local
-//!   arrays, no intrinsics, a scalar tail for the remainder).
-//! * **`Fused`** — the [`crate::FusedTape`] superinstruction stream
-//!   ([`crate::Tape::fuse`]) through the same vectorized row ops, plus
-//!   [`KernelSet::mul_acc_rows`] / [`KernelSet::reduce_rows`] which keep
-//!   chain partials in local accumulators instead of round-tripping them
-//!   through the destination row.
+//!   [`problp_num::Arith`] context. The fused core is defined as
+//!   "bit-identical to this".
+//! * **`Fused`** — the production core: the [`crate::FusedTape`]
+//!   superinstruction stream ([`crate::Tape::fuse`]) through this
+//!   trait's row ops. [`KernelSet::bin_rows`] runs the unfused binary
+//!   steps; [`KernelSet::mul_acc_rows`] and [`KernelSet::reduce_rows`]
+//!   keep chain partials in local accumulators instead of round-tripping
+//!   them through the destination row. The vectorized implementations
+//!   process fixed-width chunks of [`LANE_WIDTH`] lanes that the
+//!   compiler can keep in vector registers (portable `core::simd`-style:
+//!   plain local arrays, no intrinsics, a scalar tail for the remainder).
+//!
+//! Every engine the serving pool ([`crate::CircuitPool`]) hosts runs the
+//! fused core; the scalar core stays as the reference the conformance
+//! matrix and the property tests prove it against.
 //!
 //! # Which arithmetics vectorize
 //!
@@ -29,8 +31,8 @@
 //! | `float:E.M` | scalar fallback         | software-emulated rounding has no profitable lockstep form, so it keeps the defaulted reference loops |
 //!
 //! Every override is gated by `problp-conformance`: the differential
-//! matrix runs the `simd`/`fused` backends against the scalar walk on
-//! every arithmetic × semiring and fails on the first differing bit.
+//! matrix runs the `fused` backends against the scalar walk on every
+//! arithmetic × semiring and fails on the first differing bit.
 
 // Row kernels take flat `(op, regs, d, acc, a, b, n)` argument lists on
 // purpose: the hot path wants plain scalars, not a params struct the
@@ -49,24 +51,22 @@ pub const LANE_WIDTH: usize = 8;
 /// through. Selected per engine by [`crate::Engine::with_kernel`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum KernelKind {
-    /// Reference scalar loops (the default).
+    /// Reference scalar loops (the engine default).
     #[default]
     Scalar,
-    /// Lane-chunked vectorized kernels on the unfused tape.
-    Simd,
-    /// Fused superinstruction tape plus the vectorized kernels.
+    /// Fused superinstruction tape over the [`KernelSet`] row kernels
+    /// (the serving pool's core).
     Fused,
 }
 
 impl KernelKind {
-    /// Every kernel kind, in escalation order.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Fused];
+    /// Every kernel kind, reference first.
+    pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Fused];
 
-    /// The CLI name (`--kernel scalar|simd|fused`).
+    /// The CLI name (`--kernel scalar|fused`).
     pub fn name(&self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Simd => "simd",
             KernelKind::Fused => "fused",
         }
     }
@@ -96,10 +96,6 @@ impl std::fmt::Display for KernelKind {
 /// effects, reported through [`Arith::merge_flags`]). See the [module
 /// docs](crate::kernels) for the per-arithmetic table.
 pub trait KernelSet: Arith {
-    /// Whether this arithmetic ships vectorized kernels (`false` means
-    /// every row op runs the scalar reference loop).
-    const VECTORIZED: bool = false;
-
     /// `regs[d..][l] = op(regs[a..][l], regs[b..][l])` for `n` lanes.
     fn bin_rows(
         &mut self,
@@ -178,7 +174,8 @@ pub(crate) fn min_nz<A: Arith + ?Sized>(ctx: &mut A, a: &A::Value, b: &A::Value)
     }
 }
 
-/// The scalar reference loop behind [`KernelSet::bin_rows`].
+/// The scalar reference loop behind [`KernelSet::bin_rows`] (and the
+/// engine's scalar core). The op is matched once per row, not per lane.
 pub(crate) fn scalar_bin_rows<A: Arith + ?Sized>(
     ctx: &mut A,
     op: BinOp,
@@ -188,9 +185,17 @@ pub(crate) fn scalar_bin_rows<A: Arith + ?Sized>(
     b: usize,
     n: usize,
 ) {
-    for l in 0..n {
-        let v = apply_op(ctx, op, &regs[a + l], &regs[b + l]);
-        regs[d + l] = v;
+    let mut each = |f: fn(&mut A, &A::Value, &A::Value) -> A::Value| {
+        for l in 0..n {
+            let v = f(ctx, &regs[a + l], &regs[b + l]);
+            regs[d + l] = v;
+        }
+    };
+    match op {
+        BinOp::Add => each(A::add),
+        BinOp::Mul => each(A::mul),
+        BinOp::Max => each(A::max),
+        BinOp::MinNz => each(min_nz),
     }
 }
 
@@ -320,8 +325,6 @@ fn f64_map2(
 }
 
 impl KernelSet for F64Arith {
-    const VECTORIZED: bool = true;
-
     fn bin_rows(&mut self, op: BinOp, regs: &mut [f64], d: usize, a: usize, b: usize, n: usize) {
         f64_dispatch!(op, f => f64_map2(regs, d, a, b, n, f));
     }
@@ -506,8 +509,6 @@ impl FixedFastPath {
 }
 
 impl KernelSet for FixedArith {
-    const VECTORIZED: bool = true;
-
     fn bin_rows(&mut self, op: BinOp, regs: &mut [Fixed], d: usize, a: usize, b: usize, n: usize) {
         let Some(fast) = FixedFastPath::new(self) else {
             return scalar_bin_rows(self, op, regs, d, a, b, n);
@@ -568,8 +569,8 @@ impl KernelSet for FixedArith {
 }
 
 // float:E.M — software-emulated rounding stays on the scalar reference
-// loops (the defaulted methods); the `simd`/`fused` kernels then degrade
-// to the fused dispatch win only, still bit-identical by construction.
+// loops (the defaulted methods); the fused kernel then degrades to the
+// fused dispatch win only, still bit-identical by construction.
 impl KernelSet for FloatArith {}
 
 #[cfg(test)]

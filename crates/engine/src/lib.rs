@@ -34,17 +34,17 @@
 //!    max/min value analyses of `problp-bounds` per-node vectors that
 //!    are bit-identical to the scalar walk.
 //!
-//! 4. Batch sweeps dispatch through one of three evaluator cores
+//! 4. Batch sweeps dispatch through one of two evaluator cores
 //!    ([`kernels`], selected by [`Engine::with_kernel`]): the reference
-//!    **scalar** per-instruction loops, **SIMD** lane-chunked row
-//!    kernels ([`KernelSet`], [`LANE_WIDTH`]-wide chunks, no
-//!    intrinsics), and the **fused** superinstruction stream
-//!    ([`Tape::fuse`] collapses accumulator chains to
-//!    [`FusedInstr::Reduce`] and multiply-into-consumer pairs to
-//!    [`FusedInstr::MulAcc`] — same fold order, two roundings, never an
-//!    FMA). Every kernel is pinned bit-identical to the scalar walk by
-//!    `tests/kernels.rs` and by the `problp-conformance` differential
-//!    matrix.
+//!    **scalar** per-instruction loops, and the **fused**
+//!    superinstruction stream ([`Tape::fuse`] collapses accumulator
+//!    chains to [`FusedInstr::Reduce`] and multiply-into-consumer pairs
+//!    to [`FusedInstr::MulAcc`] — same fold order, two roundings, never
+//!    an FMA) over lane-chunked row kernels ([`KernelSet`],
+//!    [`LANE_WIDTH`]-wide chunks, no intrinsics). Every
+//!    [`CircuitPool`] engine runs the fused core, which
+//!    `tests/kernels.rs` and the `problp-conformance` differential matrix
+//!    pin bit-identical to the scalar walk.
 //!
 //! See the module docs of [`tape`] (tape layout, tape modes), [`fuse`]
 //! (the peephole rules and their bit-identity argument), [`kernels`]

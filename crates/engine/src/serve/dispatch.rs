@@ -21,7 +21,7 @@ use super::metrics::query_kind_idx;
 use super::queue::{lock_queue, next_deadline, take_job, Job};
 use super::server::Shared;
 use crate::error::{panic_message, EngineError};
-use crate::kernels::{KernelKind, KernelSet};
+use crate::kernels::KernelSet;
 use problp_num::Arith;
 
 /// One dispatcher shard: wait for a ripe group, coalesce it, evaluate,
@@ -138,11 +138,6 @@ where
             .fused_instrs
             .add(fused.instrs().len() as u64 * lanes);
     }
-    let kernel_idx = KernelKind::ALL
-        .iter()
-        .position(|k| *k == engine.kernel())
-        .unwrap_or(0);
-    metrics.kernel_dispatches[kernel_idx].inc();
     let started = Instant::now();
     let results = std::panic::catch_unwind(AssertUnwindSafe(|| {
         shared.pool.evaluate_group(tenant, job.query, &job.batch)

@@ -15,7 +15,6 @@ use problp_telemetry::{
 
 use super::admission::Priority;
 use super::pool::ModelVersion;
-use crate::kernels::KernelKind;
 
 /// The query kinds as stable metric-label names (`query` label of the
 /// sojourn and evaluate histograms).
@@ -85,9 +84,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) evaluate_us: [Histogram; 3],
     pub(crate) tape_instrs: Counter,
     pub(crate) fused_instrs: Counter,
-    /// Dispatched groups by evaluator core: scalar, simd, fused
-    /// ([`crate::KernelKind::ALL`] order).
-    pub(crate) kernel_dispatches: [Counter; 3],
     /// overflow, underflow, inexact, invalid.
     pub(crate) flag_raises: [Counter; 4],
     pub(crate) live_workers: Gauge,
@@ -202,13 +198,6 @@ impl ServeMetrics {
                 metric_names::ENGINE_FUSED_INSTRS_TOTAL,
                 "fused superinstructions executed (fused instructions x lanes per group)",
             ),
-            kernel_dispatches: KernelKind::ALL.map(|k| {
-                registry.counter_with(
-                    metric_names::ENGINE_KERNEL_DISPATCHES_TOTAL,
-                    &[("kernel", k.name())],
-                    "dispatched groups by evaluator core",
-                )
-            }),
             flag_raises,
             live_workers: registry.gauge(
                 "problp_serve_live_workers",

@@ -1,7 +1,8 @@
 //! [`CircuitPool`]: compiled circuits keyed by model id
 //! (model-per-tenant), each hosted at a live [`ModelVersion`].
-//! Registering or reloading a model compiles both serving tapes and
-//! passes them through the static-verifier admission gate; reloads
+//! Registering or reloading a model compiles both serving tapes, fuses
+//! them into the superinstruction streams the pool's engines run, and
+//! passes both through the static-verifier admission gate; reloads
 //! publish the new tenant atomically, while work already admitted keeps
 //! the tenant handle (and tape version) it was admitted under.
 
@@ -44,7 +45,11 @@ pub(crate) struct Tenant<A: Arith> {
 /// Hosts many compiled circuits keyed by model id (model-per-tenant),
 /// all bound to one arithmetic context type.
 ///
-/// Registering a model compiles both tapes it can be served from. The
+/// Registering a model compiles both tapes it can be served from and
+/// fuses each: [`CircuitPool::register`] and [`CircuitPool::reload`]
+/// build every engine on the [`KernelKind::Fused`] core, proven
+/// bit-identical to the scalar reference by the conformance matrix and
+/// the kernel property tests. The
 /// hosted set is fixed at serving time, but a hosted model can be
 /// **hot-swapped** in place with [`CircuitPool::reload`]: the new tape
 /// pair is compiled, verified and published atomically at the next
@@ -53,7 +58,6 @@ pub(crate) struct Tenant<A: Arith> {
 pub struct CircuitPool<A: Arith> {
     ctx: A,
     engine_threads: usize,
-    kernel: KernelKind,
     tenants: RwLock<HashMap<String, Arc<Tenant<A>>>>,
 }
 
@@ -67,7 +71,6 @@ where
         CircuitPool {
             ctx,
             engine_threads: 1,
-            kernel: KernelKind::Scalar,
             tenants: RwLock::new(HashMap::new()),
         }
     }
@@ -81,19 +84,11 @@ where
         self
     }
 
-    /// Selects the evaluator core ([`crate::KernelKind`]) of every engine
-    /// registered *after* this call. Coalesced answers stay pinned
-    /// bit-identical to [`CircuitPool::serve_one`] under every kernel —
-    /// both paths evaluate through the same tenant engines — and the
-    /// `tests/serve.rs` proptest sweep exercises the whole matrix.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The evaluator core newly registered engines will run.
+    /// The evaluator core [`CircuitPool::register`] and
+    /// [`CircuitPool::reload`] build engines with: always
+    /// [`KernelKind::Fused`].
     pub fn kernel(&self) -> KernelKind {
-        self.kernel
+        KernelKind::Fused
     }
 
     /// The arithmetic context every hosted engine evaluates in — the
@@ -103,8 +98,8 @@ where
         &self.ctx
     }
 
-    /// Compiles both serving engines for `ac` under the pool's context,
-    /// threads and kernel — the shared build step of [`register`] and
+    /// Compiles and fuses both serving engines for `ac` under the pool's
+    /// context and threads — the shared build step of [`register`] and
     /// [`reload`].
     ///
     /// [`register`]: CircuitPool::register
@@ -112,10 +107,10 @@ where
     fn compile_engines(&self, ac: &AcGraph) -> Result<(Engine<A>, Engine<A>), EngineError> {
         let sum = Engine::from_graph(ac, Semiring::SumProduct, self.ctx.clone())?
             .with_threads(self.engine_threads)
-            .with_kernel(self.kernel);
+            .with_kernel(KernelKind::Fused);
         let mpe = Engine::from_graph_full(ac, Semiring::MaxProduct, self.ctx.clone())?
             .with_threads(self.engine_threads)
-            .with_kernel(self.kernel);
+            .with_kernel(KernelKind::Fused);
         Ok((sum, mpe))
     }
 
@@ -123,12 +118,12 @@ where
     /// `model`. Re-registering an id replaces the previous circuit and
     /// bumps its [`ModelVersion`].
     ///
-    /// Admission runs the static tape verifier ([`crate::Tape::verify`],
-    /// and [`crate::Tape::verify_fused`] under the fused kernel) over
-    /// both engines in **every** build — release included, where
-    /// compilation itself skips the debug-only auto-check — so a tape
-    /// that lost its dataflow guarantees anywhere between compilation
-    /// and serving never joins the pool.
+    /// Admission runs the static verifier ([`crate::Tape::verify_fused`],
+    /// which also runs every [`crate::Tape::verify`] check on the source
+    /// tape) over both engines in **every** build — release included,
+    /// where compilation and fusion skip the debug-only auto-check — so
+    /// a tape or stream that lost its dataflow guarantees anywhere
+    /// between compilation and serving never joins the pool.
     ///
     /// # Errors
     ///
@@ -139,13 +134,13 @@ where
         self.register_engines(model, sum, mpe)
     }
 
-    /// Hosts a pair of pre-built engines as `model` after passing them
-    /// through the verification gate; [`CircuitPool::register`] is the
-    /// compile-and-admit convenience on top of this. Taking engines
-    /// directly is what lets verifier tests (and future tape
-    /// deserialization paths) exercise the typed rejection: a tape
-    /// corrupted after compilation is refused here with
-    /// [`EngineError::Verify`].
+    /// Hosts a pair of pre-built engines as `model`, kernels as built,
+    /// after passing them through the verification gate;
+    /// [`CircuitPool::register`] is the compile-fuse-and-admit
+    /// convenience on top of this. Taking engines directly is what lets
+    /// verifier tests (and future tape deserialization paths) exercise
+    /// the typed rejection: a tape corrupted after compilation is
+    /// refused here with [`EngineError::Verify`].
     ///
     /// # Errors
     ///
@@ -157,9 +152,22 @@ where
         sum: Engine<A>,
         mpe: Engine<A>,
     ) -> Result<(), EngineError> {
+        self.publish(model, sum, mpe).map(|_| ())
+    }
+
+    /// Verifies `sum` and `mpe`, then atomically hosts them as `model` at
+    /// its next [`ModelVersion`], which it returns.
+    fn publish(
+        &self,
+        model: &str,
+        sum: Engine<A>,
+        mpe: Engine<A>,
+    ) -> Result<ModelVersion, EngineError> {
         verify_engines(&sum, &mpe)?;
         let var_count = sum.tape().var_count();
         let mut tenants = self.write_tenants();
+        // Read under the write lock: concurrent publishes serialize here
+        // and each one takes a strictly newer version.
         let version = tenants.get(model).map_or(1, |t| t.version + 1);
         tenants.insert(
             model.to_string(),
@@ -170,7 +178,7 @@ where
                 version,
             }),
         );
-        Ok(())
+        Ok(version)
     }
 
     /// Hot-swaps a hosted model: recompiles `ac` under both serving
@@ -198,22 +206,7 @@ where
             });
         }
         let (sum, mpe) = self.compile_engines(ac)?;
-        verify_engines(&sum, &mpe)?;
-        let var_count = sum.tape().var_count();
-        let mut tenants = self.write_tenants();
-        // Re-read under the write lock: concurrent reloads serialize
-        // here and each one publishes a strictly newer version.
-        let version = tenants.get(model).map_or(1, |t| t.version + 1);
-        tenants.insert(
-            model.to_string(),
-            Arc::new(Tenant {
-                sum,
-                mpe,
-                var_count,
-                version,
-            }),
-        );
-        Ok(version)
+        Ok(self.publish(model, sum, mpe)?)
     }
 
     /// The hosted model ids, sorted.
@@ -379,16 +372,17 @@ impl<A: Arith> CircuitPool<A> {
 
 /// The verification gate both registration paths share: every tape (and
 /// attached fused stream) must pass static verification before the
-/// engines join the pool.
+/// engines join the pool. Each tape is verified once: `verify_fused`
+/// starts with the full `verify` pass over the source tape.
 fn verify_engines<A>(sum: &Engine<A>, mpe: &Engine<A>) -> Result<(), EngineError>
 where
     A: KernelSet + Clone + Send + Sync,
     A::Value: Clone + Send + Sync,
 {
     for engine in [sum, mpe] {
-        engine.tape().verify()?;
-        if let Some(fused) = engine.fused_tape() {
-            engine.tape().verify_fused(fused)?;
+        match engine.fused_tape() {
+            Some(fused) => engine.tape().verify_fused(fused)?,
+            None => engine.tape().verify()?,
         }
     }
     Ok(())

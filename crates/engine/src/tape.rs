@@ -110,6 +110,19 @@ pub enum Instr {
     },
 }
 
+impl Instr {
+    /// The destination register.
+    pub(crate) fn dst(self) -> u32 {
+        match self {
+            Instr::LoadIndicator { dst, .. }
+            | Instr::Add { dst, .. }
+            | Instr::Mul { dst, .. }
+            | Instr::Max { dst, .. }
+            | Instr::MinNz { dst, .. } => dst,
+        }
+    }
+}
+
 /// Aggregate statistics of a compiled tape.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TapeStats {

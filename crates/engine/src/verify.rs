@@ -42,6 +42,7 @@
 //! with the typed [`crate::EngineError::Verify`].
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::fuse::{BinOp, FusedInstr, FusedTape};
 use crate::tape::{Instr, Tape, TapeMode};
@@ -203,14 +204,47 @@ enum ExprNode {
     Op(BinOp, u32, u32),
 }
 
+/// An Fx-style multiplicative hasher for the arena's keys (enum tags and
+/// `u32` fields, hashed once per instruction of both streams). SipHash's
+/// flooding resistance buys nothing against keys taken from the tape
+/// under check, and key equality stays exact, so the hasher changes the
+/// verifier's speed, never a verdict.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(usize::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_usize(n as usize);
+    }
+
+    // Enum discriminants arrive here too (`write_isize` forwards).
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
 /// Hash-consing arena: structurally equal expressions share one id, so
 /// equivalence of two streams reduces to integer comparison per register.
-#[derive(Default)]
 struct ExprArena {
-    ids: HashMap<ExprNode, u32>,
+    ids: HashMap<ExprNode, u32, BuildHasherDefault<FxHasher>>,
 }
 
 impl ExprArena {
+    /// An arena sized for `nodes` distinct expressions without rehashing.
+    fn with_capacity(nodes: usize) -> Self {
+        ExprArena {
+            ids: HashMap::with_capacity_and_hasher(nodes, BuildHasherDefault::default()),
+        }
+    }
+
     fn intern(&mut self, node: ExprNode) -> u32 {
         let next = self.ids.len() as u32;
         *self.ids.entry(node).or_insert(next)
@@ -381,18 +415,12 @@ impl Tape {
                 let mut needed = vec![false; num_regs as usize];
                 needed[self.root_reg() as usize] = true;
                 for (i, &instr) in instrs.iter().enumerate().rev() {
-                    let (dst, reads) = match instr {
-                        Instr::LoadIndicator { dst, .. } => (dst, None),
-                        Instr::Add { dst, lhs, rhs }
-                        | Instr::Mul { dst, lhs, rhs }
-                        | Instr::Max { dst, lhs, rhs }
-                        | Instr::MinNz { dst, lhs, rhs } => (dst, Some((lhs, rhs))),
-                    };
-                    if !needed[dst as usize] {
+                    let dst = instr.dst() as usize;
+                    if !needed[dst] {
                         return Err(VerifyError::UnreachableInstr { instr: i });
                     }
-                    needed[dst as usize] = false;
-                    if let Some((lhs, rhs)) = reads {
+                    needed[dst] = false;
+                    if let Some((_, _, lhs, rhs)) = BinOp::decode(instr) {
                         needed[lhs as usize] = true;
                         needed[rhs as usize] = true;
                     }
@@ -468,8 +496,10 @@ impl Tape {
             }
         }
 
-        // Symbolic execution of both streams over one shared arena.
-        let mut arena = ExprArena::default();
+        // Symbolic execution of both streams over one shared arena. An
+        // equivalent fused stream re-interns the source tape's nodes, so
+        // one node per parameter and per source instruction fits all.
+        let mut arena = ExprArena::with_capacity(self.param_regs().len() + self.instrs().len());
 
         let mut tape_regs = initial_symbolic_regs(self, &mut arena)?;
         for (i, &instr) in self.instrs().iter().enumerate() {

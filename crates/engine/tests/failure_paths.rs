@@ -46,8 +46,9 @@ impl Arith for PanicArith {
     fn clear_flags(&mut self) {}
 }
 
-// Scalar-default kernels only: the fault must fire through the same
-// per-instruction path the reference evaluator uses.
+// Defaulted row kernels only: the fault fires through the same
+// per-lane `Arith` calls the reference evaluator makes, under either
+// kernel (pool engines run the fused one).
 impl problp_engine::KernelSet for PanicArith {}
 
 /// A batch big enough that `evaluate_batch` actually shards across

@@ -1,9 +1,11 @@
-//! Kernel-dispatch conformance tests: the SIMD lane-chunked kernels and
-//! the fused superinstruction stream must be bit-identical to the scalar
+//! Kernel-dispatch conformance tests: the fused superinstruction stream
+//! over the lane-chunked row kernels must be bit-identical to the scalar
 //! tape walk — same values, same sticky flags, per lane — for every
 //! semiring, every arithmetic, every chunk size and every remainder
 //! lane count. The scalar walk stays the reference; these tests are the
-//! license for the fast paths to exist.
+//! license for the production kernel to exist. Register-file reuse
+//! across sweeps is pinned here too: a sweep never sees what an earlier
+//! one left behind.
 
 use proptest::prelude::*;
 
@@ -106,11 +108,11 @@ fn assert_lane_flags_consistent(flags: Flags, lane_flags: &[Flags]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The headline property: on random circuits, the SIMD and fused
-    /// kernels return the scalar walk's f64 values bit for bit, with
-    /// identical sticky flags, for every semiring.
+    /// The headline property: on random circuits, the fused kernel
+    /// returns the scalar walk's f64 values bit for bit, with identical
+    /// sticky flags, for every semiring.
     #[test]
-    fn simd_and_fused_match_scalar_f64(
+    fn fused_matches_scalar_f64(
         (seed, _picks) in net_and_picks(),
         lanes in 1usize..130,
     ) {
@@ -120,17 +122,15 @@ proptest! {
         for semiring in SEMIRINGS {
             let engine = Engine::from_graph(&ac, semiring, F64Arith::new()).unwrap();
             let reference = engine.evaluate_batch(&batch).unwrap();
-            for kernel in [KernelKind::Simd, KernelKind::Fused] {
-                let fast = engine.clone().with_kernel(kernel);
-                let got = fast.evaluate_batch(&batch).unwrap();
-                prop_assert_eq!(got.flags, reference.flags);
-                for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
-                    prop_assert_eq!(
-                        r.to_bits(), g.to_bits(),
-                        "{:?} {:?} lane {}: scalar {} vs {}",
-                        kernel, semiring, lane, r, g
-                    );
-                }
+            let fast = engine.clone().with_kernel(KernelKind::Fused);
+            let got = fast.evaluate_batch(&batch).unwrap();
+            prop_assert_eq!(got.flags, reference.flags);
+            for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
+                prop_assert_eq!(
+                    r.to_bits(), g.to_bits(),
+                    "{:?} lane {}: scalar {} vs {}",
+                    semiring, lane, r, g
+                );
             }
         }
     }
@@ -139,7 +139,7 @@ proptest! {
     /// replaces the wide-integer reference multiply: values and
     /// *per-lane* sticky flags (inexact, overflow) are identical.
     #[test]
-    fn simd_and_fused_match_scalar_fixed(
+    fn fused_matches_scalar_fixed(
         (seed, _picks) in net_and_picks(),
         lanes in 1usize..80,
         frac in 6u32..20,
@@ -151,17 +151,15 @@ proptest! {
         for semiring in SEMIRINGS {
             let engine = Engine::from_graph(&ac, semiring, FixedArith::new(format)).unwrap();
             let reference = engine.evaluate_batch_flagged(&batch).unwrap();
-            for kernel in [KernelKind::Simd, KernelKind::Fused] {
-                let fast = engine.clone().with_kernel(kernel);
-                let got = fast.evaluate_batch_flagged(&batch).unwrap();
-                prop_assert_eq!(got.flags, reference.flags, "{:?} {:?}", kernel, semiring);
-                prop_assert_eq!(&got.lane_flags, &reference.lane_flags);
-                for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
-                    prop_assert_eq!(
-                        r.to_f64().to_bits(), g.to_f64().to_bits(),
-                        "{:?} {:?} lane {}", kernel, semiring, lane
-                    );
-                }
+            let fast = engine.clone().with_kernel(KernelKind::Fused);
+            let got = fast.evaluate_batch_flagged(&batch).unwrap();
+            prop_assert_eq!(got.flags, reference.flags, "{:?}", semiring);
+            prop_assert_eq!(&got.lane_flags, &reference.lane_flags);
+            for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
+                prop_assert_eq!(
+                    r.to_f64().to_bits(), g.to_f64().to_bits(),
+                    "{:?} lane {}", semiring, lane
+                );
             }
         }
     }
@@ -190,7 +188,7 @@ proptest! {
 
     /// Results are independent of the lane-chunk size for every kernel:
     /// chunk 1 (every lane is a remainder), 3 (odd), 8 (exactly one
-    /// SIMD chunk) and 1024 (whole batch in one chunk) agree bit for
+    /// vector chunk) and 1024 (whole batch in one chunk) agree bit for
     /// bit, flags included.
     #[test]
     fn chunk_size_never_changes_results(
@@ -235,21 +233,16 @@ fn remainder_lanes_match_scalar_values_and_flags() {
             let engine = Engine::from_graph(&ac, semiring, FixedArith::new(format)).unwrap();
             let reference = engine.evaluate_batch_flagged(&batch).unwrap();
             assert_lane_flags_consistent(reference.flags, &reference.lane_flags);
-            for kernel in [KernelKind::Simd, KernelKind::Fused] {
-                let fast = engine.clone().with_kernel(kernel);
-                let got = fast.evaluate_batch_flagged(&batch).unwrap();
+            let fast = engine.clone().with_kernel(KernelKind::Fused);
+            let got = fast.evaluate_batch_flagged(&batch).unwrap();
+            assert_eq!(got.lane_flags, reference.lane_flags, "{semiring:?}");
+            assert_eq!(got.flags, reference.flags);
+            for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
                 assert_eq!(
-                    got.lane_flags, reference.lane_flags,
-                    "{kernel:?} {semiring:?}"
+                    r.to_f64().to_bits(),
+                    g.to_f64().to_bits(),
+                    "{semiring:?} lanes {lanes} lane {lane}"
                 );
-                assert_eq!(got.flags, reference.flags);
-                for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
-                    assert_eq!(
-                        r.to_f64().to_bits(),
-                        g.to_f64().to_bits(),
-                        "{kernel:?} {semiring:?} lanes {lanes} lane {lane}"
-                    );
-                }
             }
         }
     }
@@ -257,7 +250,7 @@ fn remainder_lanes_match_scalar_values_and_flags() {
     // 10 fractional bits the Alarm CPTs cannot all be exact.
     let engine = Engine::from_graph(&ac, Semiring::SumProduct, FixedArith::new(format))
         .unwrap()
-        .with_kernel(KernelKind::Simd);
+        .with_kernel(KernelKind::Fused);
     let got = engine.evaluate_batch(&varied_batch(&net, 97)).unwrap();
     assert!(got.flags.inexact, "regression batch never went inexact");
 }
@@ -276,15 +269,16 @@ fn fusion_finds_superinstructions_on_alarm() {
     assert!(stats.mul_accs > 0, "no MulAcc fused on alarm: {stats}");
     assert!(stats.reduces > 0, "no Reduce fused on alarm: {stats}");
     assert!(stats.fused_instrs < stats.source_instrs);
-    // Scalar and SIMD engines report no fused tape.
+    assert_eq!(engine.kernel(), KernelKind::Fused);
+    // A scalar engine reports no fused tape.
     let scalar = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
     assert!(scalar.fused_tape().is_none());
     assert_eq!(scalar.kernel(), KernelKind::Scalar);
 }
 
 /// MPE and conditional serving agree across kernels: the scalar
-/// traceback is the oracle, and the kernel only touches the batched
-/// value sweeps feeding it.
+/// traceback is the oracle, and the fused kernel only touches the
+/// batched value sweeps feeding it.
 #[test]
 fn queries_agree_across_kernels() {
     let net = networks::asia();
@@ -306,26 +300,131 @@ fn queries_agree_across_kernels() {
         .unwrap()
         .conditional_batch(&cond_batch, query_var)
         .unwrap();
-    for kernel in [KernelKind::Simd, KernelKind::Fused] {
-        let mpe = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new())
-            .unwrap()
-            .with_kernel(kernel)
-            .mpe_batch(&batch)
-            .unwrap();
-        assert_eq!(mpe.assignments, mpe_ref.assignments, "{kernel:?}");
-        for (a, b) in mpe.values.iter().zip(&mpe_ref.values) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
-        }
-        let cond = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
-            .unwrap()
-            .with_kernel(kernel)
-            .conditional_batch(&cond_batch, query_var)
-            .unwrap();
-        assert_eq!(cond.predictions, cond_ref.predictions, "{kernel:?}");
-        for (p, q) in cond.posteriors.iter().zip(&cond_ref.posteriors) {
-            for (a, b) in p.iter().zip(q) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
-            }
+    let mpe = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new())
+        .unwrap()
+        .with_kernel(KernelKind::Fused)
+        .mpe_batch(&batch)
+        .unwrap();
+    assert_eq!(mpe.assignments, mpe_ref.assignments);
+    for (a, b) in mpe.values.iter().zip(&mpe_ref.values) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    let cond = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
+        .unwrap()
+        .with_kernel(KernelKind::Fused)
+        .conditional_batch(&cond_batch, query_var)
+        .unwrap();
+    assert_eq!(cond.predictions, cond_ref.predictions);
+    for (p, q) in cond.posteriors.iter().zip(&cond_ref.posteriors) {
+        for (a, b) in p.iter().zip(q) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+}
+
+/// One batch of the register-file reuse test with its reference
+/// answers: the root bits of a fresh engine's sweep (cross-checked
+/// against the scalar tree-walk) and that sweep's sticky flags.
+struct ReuseCase {
+    batch: EvidenceBatch,
+    want: Vec<u64>,
+    flags: Flags,
+}
+
+/// Evidence for `lanes` lanes that differs per `round`: every lane
+/// observes a round-dependent subset of the variables, so a value a
+/// previous sweep left in a reused register file would change a root.
+fn round_batch(net: &problp_bayes::BayesNet, lanes: usize, round: usize) -> EvidenceBatch {
+    let mut batch = EvidenceBatch::new(net.var_count());
+    for lane in 0..lanes {
+        let mut e = Evidence::empty(net.var_count());
+        for v in 0..net.var_count() {
+            let pick = lane * 7 + v * 3 + round * 5;
+            if !pick.is_multiple_of(4) {
+                let var = VarId::from_index(v);
+                e.observe(var, pick % net.variable(var).arity());
+            }
+        }
+        batch.push(&e);
+    }
+    batch
+}
+
+/// Drives one fused engine through alternating batch sizes and evidence
+/// at 1 and 3 engine threads, then from 4 caller threads at once, and
+/// pins every answer to a fresh engine's and to `AcGraph::evaluate_with`.
+fn assert_register_reuse_leaks_nothing<A>(net: &problp_bayes::BayesNet, ctx: A)
+where
+    A: problp_engine::KernelSet + Clone + Send + Sync,
+    A::Value: Clone + Send + Sync,
+{
+    let ac = compile(net).unwrap();
+    let build = || {
+        Engine::from_graph(&ac, Semiring::SumProduct, ctx.clone())
+            .unwrap()
+            .with_kernel(KernelKind::Fused)
+    };
+    let bits = |e: &Engine<A>, values: &[A::Value]| -> Vec<u64> {
+        values
+            .iter()
+            .map(|v| e.context().to_f64(v).to_bits())
+            .collect()
+    };
+    let cases: Vec<ReuseCase> = (0..3)
+        .flat_map(|round| [1usize, 13, 64, 200].map(|lanes| (round, lanes)))
+        .map(|(round, lanes)| {
+            let batch = round_batch(net, lanes, round);
+            let fresh = build().with_threads(1);
+            let got = fresh.evaluate_batch(&batch).unwrap();
+            let want = bits(&fresh, &got.values);
+            for (lane, w) in want.iter().enumerate() {
+                let mut c = ctx.clone();
+                let walk = ac
+                    .evaluate_with(&mut c, &batch.evidence(lane), Semiring::SumProduct)
+                    .unwrap();
+                assert_eq!(c.to_f64(&walk).to_bits(), *w, "tree-walk lane {lane}");
+            }
+            ReuseCase {
+                batch,
+                want,
+                flags: got.flags,
+            }
+        })
+        .collect();
+    let check = |engine: &Engine<A>, order: &[usize]| {
+        for &i in order {
+            let case = &cases[i];
+            let got = engine.evaluate_batch(&case.batch).unwrap();
+            assert_eq!(bits(engine, &got.values), case.want, "case {i}");
+            assert_eq!(got.flags, case.flags, "case {i}");
+        }
+    };
+    let forward: Vec<usize> = (0..cases.len()).collect();
+    let backward: Vec<usize> = forward.iter().rev().copied().collect();
+    for threads in [1, 3] {
+        let engine = build().with_threads(threads);
+        check(&engine, &forward);
+        check(&engine, &backward);
+    }
+    let shared = build().with_threads(1);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let order: Vec<usize> = (0..cases.len())
+                .map(|i| (i * (t + 1) + t) % cases.len())
+                .collect();
+            let (shared, check) = (&shared, &check);
+            scope.spawn(move || check(shared, &order));
+        }
+    });
+}
+
+/// Reused register files leak nothing between sweeps: f64 and the
+/// fixed-point serving format, across batch sizes that resize the file,
+/// thread counts that split it into shards, and concurrent callers
+/// sharing one engine's free list.
+#[test]
+fn register_file_reuse_leaks_nothing() {
+    let net = networks::asia();
+    assert_register_reuse_leaks_nothing(&net, F64Arith::new());
+    assert_register_reuse_leaks_nothing(&net, FixedArith::new(FixedFormat::new(1, 16).unwrap()));
 }

@@ -6,7 +6,9 @@
 
 use problp_ac::{compile, transform::binarize, AcGraph, Semiring};
 use problp_bayes::{networks, VarId};
-use problp_engine::{CircuitPool, Engine, EngineError, FusedInstr, Instr, Tape, VerifyError};
+use problp_engine::{
+    CircuitPool, Engine, EngineError, FusedInstr, Instr, KernelKind, Tape, VerifyError,
+};
 use problp_num::F64Arith;
 
 fn v(i: usize) -> VarId {
@@ -285,20 +287,29 @@ fn builtin_network_sweep_verifies_every_mode_and_semiring() {
 #[test]
 fn pool_admission_rejects_a_corrupted_tape_with_a_typed_error() {
     let g = chained();
-    let mut sum = Engine::from_graph(&g, Semiring::SumProduct, F64Arith::new()).unwrap();
-    let mpe = Engine::from_graph_full(&g, Semiring::MaxProduct, F64Arith::new()).unwrap();
+    // Both cores: a fused engine is gated by `verify_fused` alone, which
+    // must still run every structural check on the source tape.
+    for kernel in KernelKind::ALL {
+        let mut sum = Engine::from_graph(&g, Semiring::SumProduct, F64Arith::new())
+            .unwrap()
+            .with_kernel(kernel);
+        let mpe = Engine::from_graph_full(&g, Semiring::MaxProduct, F64Arith::new())
+            .unwrap()
+            .with_kernel(kernel);
 
-    // Corrupt the serving engine's tape after compilation — the moment
-    // the debug-build auto-check can no longer help.
-    sum.raw_tape_mut().raw_instrs_mut().swap(0, 1);
+        // Corrupt the serving engine's tape after compilation (and
+        // fusion) — the moment the debug-build auto-checks can no longer
+        // help.
+        sum.raw_tape_mut().raw_instrs_mut().swap(0, 1);
 
-    let mut pool: CircuitPool<F64Arith> = CircuitPool::new(F64Arith::new());
-    let err = pool.register_engines("alarm-v2", sum, mpe).unwrap_err();
-    assert!(matches!(
-        err,
-        EngineError::Verify(VerifyError::UseBeforeDef { .. })
-    ));
-    assert!(pool.is_empty(), "a rejected tape never joins the pool");
+        let mut pool: CircuitPool<F64Arith> = CircuitPool::new(F64Arith::new());
+        let err = pool.register_engines("alarm-v2", sum, mpe).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Verify(VerifyError::UseBeforeDef { .. })),
+            "{kernel}: {err}"
+        );
+        assert!(pool.is_empty(), "a rejected tape never joins the pool");
+    }
 
     // The compile-and-admit path still accepts the clean circuit.
     let mut pool: CircuitPool<F64Arith> = CircuitPool::new(F64Arith::new());

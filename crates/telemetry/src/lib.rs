@@ -113,23 +113,18 @@ pub mod metric_names {
     /// dispatched group, microseconds.
     pub const ENGINE_EVALUATE_US: &str = "problp_engine_evaluate_us";
     /// Counter: tape instructions executed, summed as
-    /// `instructions × lanes` per dispatched group. For engines running
-    /// the fused kernel this still counts the *unfused* stream — the
-    /// work the sweep answers for — while
-    /// [`ENGINE_FUSED_INSTRS_TOTAL`] counts the superinstructions it
-    /// actually dispatched; the ratio of the two is the live fusion
-    /// rate.
+    /// `instructions × lanes` per dispatched group. Pool engines run the
+    /// fused kernel, so this counts the *unfused* stream — the work the
+    /// sweep answers for — while [`ENGINE_FUSED_INSTRS_TOTAL`] counts
+    /// the superinstructions it actually dispatched; the ratio of the
+    /// two is the live fusion rate.
     pub const ENGINE_TAPE_INSTRS_TOTAL: &str = "problp_engine_tape_instrs_total";
     /// Counter: fused superinstructions executed, summed as
-    /// `fused instructions × lanes` per dispatched group. Only engines
-    /// running the `fused` kernel (`Engine::with_kernel`) move it;
-    /// compare against [`ENGINE_TAPE_INSTRS_TOTAL`] for the dispatch
-    /// amplification fusion removed.
+    /// `fused instructions × lanes` per dispatched group (every pool
+    /// engine runs the `fused` kernel); compare against
+    /// [`ENGINE_TAPE_INSTRS_TOTAL`] for the dispatch amplification
+    /// fusion removed.
     pub const ENGINE_FUSED_INSTRS_TOTAL: &str = "problp_engine_fused_instrs_total";
-    /// Counter, label `kernel` ∈ {`scalar`, `simd`, `fused`}: dispatched
-    /// groups by the evaluator core that served them — the live mix of
-    /// kernel dispatch across the pool.
-    pub const ENGINE_KERNEL_DISPATCHES_TOTAL: &str = "problp_engine_kernel_dispatches_total";
     /// Counter, label `flag` ∈ {`overflow`, `underflow`, `inexact`,
     /// `invalid`}: groups whose evaluation raised the sticky flag.
     pub const ENGINE_FLAG_RAISES_TOTAL: &str = "problp_engine_flag_raises_total";

@@ -8,7 +8,7 @@
 //! problp export     --network model.bn --dot circuit.dot
 //! problp throughput --network model.bn --batch 1024 --threads 0 \
 //!                   --query marginal|mpe|conditional [--query-var NAME]
-//!                   [--kernel scalar|simd|fused]
+//!                   [--kernel scalar|fused]
 //! problp accuracy   [--dataset HAR|UNIMIB|UIWADS] [--instances 300]
 //! problp serve-sim  --models sprinkler,asia [--requests 512] [--max-batch 32]
 //!                   [--max-wait-us 500] [--workers 4] [--seed 7]
@@ -18,7 +18,7 @@
 //! problp conformance [--models alarm,asia] [--random 2] [--batch 256]
 //!                   [--seed 7] [--repr f64,fixed:2.14,float:8.13]
 //!                   [--inject-fault scalar|tape|tape-full|fused-compact|
-//!                    fused-full|simd-compact|schedule|pipeline]
+//!                    fused-full|schedule|pipeline]
 //! problp verify     [--models sprinkler,asia] [--repr f64,fixed:2.14,float:8.23]
 //!                   [--seed 7] [--corrupt oob-reg|slot-oob|param-write|truncate]
 //! problp lint-src   [--allow ci/lint-allow.txt]
@@ -30,9 +30,9 @@
 //! batch size (`--threads 0` = all cores) — for all three query kinds:
 //! marginal sweeps, MPE decoding (max-product argmax traceback) and
 //! conditional posteriors (joint/marginal lane pairs). `--kernel`
-//! selects the engine's evaluator core: the scalar reference walk, the
-//! SIMD lane-chunked kernels, or the fused superinstruction stream
-//! (all three bit-identical; see `problp::engine::KernelKind`).
+//! selects the engine's evaluator core: the fused superinstruction
+//! stream the serving pool runs (the default) or the scalar reference
+//! walk (bit-identical; see `problp::engine::KernelKind`).
 //! `accuracy` runs
 //! the engine-served per-precision classifier accuracy study of
 //! `problp::bench` on the synthetic sensing datasets. `serve-sim`
@@ -65,9 +65,8 @@
 //! `conformance` runs the differential cross-check of
 //! `problp::conformance`: the same seeded evidence batch is evaluated on
 //! the scalar tree-walk, the compact and full-values engine tapes, the
-//! fused superinstruction streams of both tape modes, the SIMD
-//! lane-chunked kernels, the sequential ALU schedule and the
-//! cycle-accurate pipelined datapath
+//! fused superinstruction streams of both tape modes, the sequential
+//! ALU schedule and the cycle-accurate pipelined datapath
 //! (streaming one lane per cycle), and every stream must be
 //! bit-identical per arithmetic (`--repr`) and semiring. Without
 //! `--models` it checks `sprinkler,asia` plus `--random` seeded random
@@ -115,7 +114,7 @@ fn usage() -> ExitCode {
   problp export     --network FILE --dot FILE
   problp throughput --network FILE [--batch N] [--threads N] [--optimize]
                     [--query marginal|mpe|conditional] [--query-var NAME]
-                    [--kernel scalar|simd|fused]
+                    [--kernel scalar|fused]
   problp accuracy   [--dataset HAR|UNIMIB|UIWADS] [--instances N]
   problp serve-sim  --models NAME|FILE[,NAME|FILE...] [--requests N]
                     [--max-batch N] [--max-wait-us N] [--workers N] [--seed N]
@@ -133,7 +132,7 @@ fn usage() -> ExitCode {
                     [--seed N] [--repr LIST] [--inject-fault BACKEND]
                     (LIST entries: f64 | fixed:I.F | float:E.M;
                      BACKEND: scalar|tape|tape-full|fused-compact|
-                     fused-full|simd-compact|schedule|pipeline)
+                     fused-full|schedule|pipeline)
   problp verify     [--models NAME|FILE[,...]] [--repr LIST] [--seed N]
                     [--corrupt oob-reg|slot-oob|param-write|truncate]
   problp lint-src   [--allow FILE]"
@@ -203,7 +202,7 @@ fn main() -> ExitCode {
     let mut inject_fault: Option<String> = None;
     let mut corrupt: Option<String> = None;
     let mut allow = PathBuf::from("ci/lint-allow.txt");
-    let mut kernel = problp::engine::KernelKind::Scalar;
+    let mut kernel = problp::engine::KernelKind::Fused;
     let mut addr = "127.0.0.1:0".to_string();
     let mut tokens: Option<String> = None;
     let mut http_workers = 4usize;
@@ -648,8 +647,8 @@ fn rate_of(mut f: impl FnMut(), per_call: usize) -> f64 {
 /// instances cycling through the single-variable observations, for the
 /// requested query kind (marginal sweeps, MPE decoding, or conditional
 /// posteriors on `query_var`, defaulting to the network's first root).
-/// `kernel` selects the engine's evaluator core (scalar, SIMD
-/// lane-chunked, or fused superinstructions — all bit-identical).
+/// `kernel` selects the engine's evaluator core (the scalar reference
+/// or the fused superinstruction stream — bit-identical).
 #[allow(clippy::too_many_arguments)]
 fn throughput(
     net: &BayesNet,
