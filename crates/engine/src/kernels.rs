@@ -27,7 +27,7 @@
 //! | Arith       | kernels                 | why it stays bit-identical     |
 //! |-------------|-------------------------|--------------------------------|
 //! | `f64`       | vectorized, width 8     | same scalar op per lane; the multiply and accumulate of `MulAcc` stay two roundings (never FMA-contracted) |
-//! | `fixed:I.F` | vectorized fast path for `I+F <= 63` | native `u128` product + the exact same half-up/truncate rounding, saturation and flag rules as [`problp_num::Fixed`]; wider formats fall back to the scalar ops |
+//! | `fixed:I.F` | fast path for `I+F <= 63`, `Reduce` folded over [`LANE_WIDTH`]-lane blocks | native 64×64 → 128-bit product + the exact same half-up/truncate rounding, saturation and flag rules as [`problp_num::Fixed`]; each lane still folds left to right; wider formats fall back to the scalar ops |
 //! | `float:E.M` | scalar fallback         | software-emulated rounding has no profitable lockstep form, so it keeps the defaulted reference loops |
 //!
 //! Every override is gated by `problp-conformance`: the differential
@@ -470,7 +470,8 @@ impl FixedFastPath {
     /// half-up or truncating shift, saturating with `overflow`.
     #[inline(always)]
     fn mul(&self, x: u128, y: u128, flags: &mut Flags) -> u128 {
-        let p = x * y;
+        // Both operands are below 2^63: one 64x64 -> 128-bit multiply.
+        let p = u128::from(x as u64) * u128::from(y as u64);
         flags.inexact |= p & self.low_mask != 0;
         let rounded = if self.frac == 0 {
             p
@@ -557,12 +558,26 @@ impl KernelSet for FixedArith {
             return scalar_reduce_rows(self, op, regs, chunk, d, first, rest, n);
         };
         let mut flags = Flags::new();
-        for l in 0..n {
-            let mut acc = regs[first + l].raw();
-            for &r in rest {
-                acc = fast.op(op, acc, regs[r as usize * chunk + l].raw(), &mut flags);
+        // Fold `LANE_WIDTH` lanes per pass over the operand rows, as the
+        // f64 kernel does: each lane still folds left to right, but the
+        // lanes' dependency chains interleave instead of running serially.
+        let mut l = 0;
+        while l < n {
+            let w = LANE_WIDTH.min(n - l);
+            let mut acc = [0u128; LANE_WIDTH];
+            for (i, a) in acc[..w].iter_mut().enumerate() {
+                *a = regs[first + l + i].raw();
             }
-            regs[d + l] = fast.lane(acc);
+            for &r in rest {
+                let ro = r as usize * chunk + l;
+                for (i, a) in acc[..w].iter_mut().enumerate() {
+                    *a = fast.op(op, *a, regs[ro + i].raw(), &mut flags);
+                }
+            }
+            for (i, &a) in acc[..w].iter().enumerate() {
+                regs[d + l + i] = fast.lane(a);
+            }
+            l += w;
         }
         self.merge_flags(flags);
     }

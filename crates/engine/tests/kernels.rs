@@ -399,21 +399,24 @@ where
             assert_eq!(got.flags, case.flags, "case {i}");
         }
     };
+    // One engine throughout (`with_threads` moves it, free list and
+    // all), so every phase inherits the files the previous one left.
     let forward: Vec<usize> = (0..cases.len()).collect();
     let backward: Vec<usize> = forward.iter().rev().copied().collect();
+    let mut engine = build();
     for threads in [1, 3] {
-        let engine = build().with_threads(threads);
+        engine = engine.with_threads(threads);
         check(&engine, &forward);
         check(&engine, &backward);
     }
-    let shared = build().with_threads(1);
+    let engine = engine.with_threads(1);
     std::thread::scope(|scope| {
         for t in 0..4 {
             let order: Vec<usize> = (0..cases.len())
                 .map(|i| (i * (t + 1) + t) % cases.len())
                 .collect();
-            let (shared, check) = (&shared, &check);
-            scope.spawn(move || check(shared, &order));
+            let (engine, check) = (&engine, &check);
+            scope.spawn(move || check(engine, &order));
         }
     });
 }
