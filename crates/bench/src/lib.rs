@@ -944,7 +944,7 @@ pub struct KernelStudy {
 pub fn kernel_study(batch_size: usize) -> KernelStudy {
     use problp_ac::Semiring;
     use problp_bayes::{Evidence, EvidenceBatch};
-    use problp_engine::{Engine, KernelKind};
+    use problp_engine::Engine;
     use problp_num::{F64Arith, FixedArith};
 
     let net = problp_bayes::networks::alarm(SEED);
@@ -1013,11 +1013,7 @@ pub fn kernel_study(batch_size: usize) -> KernelStudy {
     let f64_engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
         .expect("alarm compiles to a tape")
         .with_threads(1);
-    let fuse = f64_engine
-        .clone()
-        .with_kernel(KernelKind::Fused)
-        .fuse_stats()
-        .expect("fused engine exposes stats");
+    let fuse = f64_engine.tape().fuse().stats();
     let f64_row = measure_row("f64", &f64_engine, &batch, &mut identical);
 
     let format = FixedFormat::new(2, 14).expect("valid format");

@@ -40,7 +40,7 @@ use problp_bayes::{Evidence, EvidenceBatch, VarId};
 use problp_num::{Arith, Flags};
 
 use crate::error::{panic_message, EngineError};
-use crate::fuse::{BinOp, FuseStats, FusedInstr, FusedTape};
+use crate::fuse::{BinOp, FusedInstr, FusedTape};
 use crate::kernels::{min_nz, scalar_bin_rows, KernelKind, KernelSet};
 use crate::tape::{Instr, Tape, TapeMode};
 
@@ -259,13 +259,6 @@ where
     /// [`KernelKind::Fused`] core.
     pub fn fused_tape(&self) -> Option<&FusedTape> {
         self.fused.as_ref()
-    }
-
-    /// Statistics of the fusion pass, when the engine runs the
-    /// [`KernelKind::Fused`] core (feeds the
-    /// `problp_engine_fused_instrs_total` serving counter).
-    pub fn fuse_stats(&self) -> Option<FuseStats> {
-        self.fused.as_ref().map(|f| f.stats())
     }
 
     /// The compiled tape backing this engine.

@@ -32,9 +32,10 @@ where
     A: KernelSet + Clone + Send + Sync,
     A::Value: Clone + Send + Sync,
 {
-    // Liveness bookkeeping is a drop guard so a panicking evaluation
-    // that somehow unwinds past the dispatch catch still decrements the
-    // live-worker gauge (and `/healthz` turns red when all shards die).
+    // `Server::start` counts the worker live before spawning it (so
+    // `live_workers` is exact as soon as `start` returns); the drop
+    // guard uncounts it, even when a panicking evaluation unwinds past
+    // the dispatch catch (`/healthz` turns red when all shards die).
     struct WorkerAlive(Gauge);
     impl Drop for WorkerAlive {
         fn drop(&mut self) {
@@ -42,7 +43,6 @@ where
         }
     }
     let metrics = &shared.metrics;
-    metrics.live_workers.add(1);
     let _alive = WorkerAlive(metrics.live_workers.clone());
     loop {
         let job = {
@@ -193,13 +193,13 @@ where
                 let r = lanes
                     .next()
                     .unwrap_or(Err(ServeError::LaneCountMismatch { expected, got }));
-                let _ = w.tx.send((completed, r));
+                let _ = w.tx.try_send((completed, r));
             }
         }
         Err(payload) => {
             let message = panic_message(payload);
             for w in &job.waiters {
-                let _ = w.tx.send((
+                let _ = w.tx.try_send((
                     completed,
                     Err(ServeError::Engine(EngineError::WorkerPanic {
                         message: message.clone(),
@@ -237,8 +237,8 @@ mod tests {
         // one result for two tickets.
         let mut batch = EvidenceBatch::new(net.var_count());
         batch.push(&Evidence::empty(net.var_count()));
-        let (tx_a, rx_a) = mpsc::channel();
-        let (tx_b, rx_b) = mpsc::channel();
+        let (tx_a, rx_a) = mpsc::sync_channel(1);
+        let (tx_b, rx_b) = mpsc::sync_channel(1);
         let now = Instant::now();
         dispatch(
             &shared,

@@ -17,11 +17,12 @@ use super::metrics::ServeMetrics;
 use super::pool::Tenant;
 
 /// The routing half of one admitted request: when it arrived and where
-/// its result goes. The evidence half lives in the group's columnar
-/// batch, lane `i` belonging to `waiters[i]`.
+/// its result goes (a one-slot channel, sent to exactly once). The
+/// evidence half lives in the group's columnar batch, lane `i`
+/// belonging to `waiters[i]`.
 pub(crate) struct Waiter<V> {
     pub(crate) enqueued: Instant,
-    pub(crate) tx: mpsc::Sender<(Instant, LaneResult<V>)>,
+    pub(crate) tx: mpsc::SyncSender<(Instant, LaneResult<V>)>,
 }
 
 /// The pending requests of one `(model, query, priority)` coalescing
@@ -307,7 +308,7 @@ mod tests {
             },
             waiters: vec![Waiter {
                 enqueued: head,
-                tx: mpsc::channel().0,
+                tx: mpsc::sync_channel(1).0,
             }],
         };
         let config = ServeConfig {
@@ -370,7 +371,7 @@ mod tests {
             batch: EvidenceBatch::new(4),
             waiters: vec![Waiter {
                 enqueued: head,
-                tx: mpsc::channel().0,
+                tx: mpsc::sync_channel(1).0,
             }],
         };
         // One tick short of the bound: still Batch rank.

@@ -85,6 +85,7 @@ where
         }
         let workers = (0..config.workers.max(1))
             .map(|_| {
+                shared.metrics.live_workers.add(1);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
             })
@@ -224,7 +225,12 @@ where
             }
         };
         let config = &self.shared.config;
-        let (tx, rx) = mpsc::channel();
+        // One slot, allocated here by the submitting thread: a reply is
+        // exactly one message. An unbounded channel would allocate its
+        // slot block in the dispatcher on send for the submitter to
+        // free, and that cross-thread churn inflates peak memory at high
+        // request rates.
+        let (tx, rx) = mpsc::sync_channel(1);
         {
             let mut q = lock_queue(&self.shared.queue);
             if q.shutdown {
@@ -241,7 +247,7 @@ where
                 let hit = lock_cache(cache).get(&key).cloned();
                 if let Some(result) = hit {
                     metrics.cache_hits.inc();
-                    let _ = tx.send((Instant::now(), result));
+                    let _ = tx.try_send((Instant::now(), result));
                     return Ok(Ticket::new(rx));
                 }
                 metrics.cache_misses.inc();

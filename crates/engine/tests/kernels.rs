@@ -265,7 +265,10 @@ fn fusion_finds_superinstructions_on_alarm() {
     let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
         .unwrap()
         .with_kernel(KernelKind::Fused);
-    let stats = engine.fuse_stats().expect("fused engine exposes stats");
+    let stats = engine
+        .fused_tape()
+        .expect("fused engine carries a stream")
+        .stats();
     assert!(stats.mul_accs > 0, "no MulAcc fused on alarm: {stats}");
     assert!(stats.reduces > 0, "no Reduce fused on alarm: {stats}");
     assert!(stats.fused_instrs < stats.source_instrs);

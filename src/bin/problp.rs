@@ -676,8 +676,8 @@ fn throughput(
             engine = engine.with_threads(threads);
         }
         engine = engine.with_kernel(kernel);
-        if let Some(stats) = engine.fuse_stats() {
-            println!("fusion: {stats}");
+        if let Some(fused) = engine.fused_tape() {
+            println!("fusion: {}", fused.stats());
         }
         engine
     };
