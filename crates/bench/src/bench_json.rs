@@ -1,7 +1,7 @@
 //! The machine-readable perf trajectory: `BENCH_<scenario>.json` files
-//! emitted by `reproduce` and `serve-sim`, so every future PR can diff
-//! its serving performance against this one's instead of eyeballing
-//! stdout tables.
+//! emitted by `reproduce`, `serve-sim` and `serve-http --self-drive`, so
+//! every change can diff its serving performance against its parent's
+//! instead of eyeballing stdout tables.
 //!
 //! One file per scenario, schema [`BENCH_SCHEMA`]. The required keys —
 //! enforced by [`validate_bench_json`], which CI runs on every emitted
@@ -13,7 +13,7 @@
 //! | `scenario` | string | which study produced the file |
 //! | `requests` | number | requests (or lanes) the study drove |
 //! | `throughput_rps` | number | requests per second end to end |
-//! | `latency_us` | object | `p50`/`p90`/`p99`/`max` sojourn, µs (each a number, or null with no sample) |
+//! | `latency_us` | object | `p50`/`p90`/`p99`/`max` latency, µs (each a number, or null with no sample) |
 //! | `rejects` | number | typed admission rejects |
 //!
 //! Everything else (`extra` fields like speedups, quota settings,
@@ -22,16 +22,20 @@
 //!
 //! The validator also enforces the invariants of the self-checking
 //! studies, so a stale or red record cannot pass CI on its schema
-//! alone: a `conformance` record must list exactly one row per backend
-//! of [`problp_conformance::BackendKind::ALL`] and carry
-//! `all_match: true`, and a `kernels` record must carry
-//! `identical: true`.
+//! alone: the non-null percentiles must read `p50 ≤ p90 ≤ p99 ≤ max`, a
+//! record that carries `admitted` must carry an equal `identical` (every
+//! answered request passed the checker), a `conformance` record must
+//! list exactly one row per backend of
+//! [`problp_conformance::BackendKind::ALL`] and carry `all_match: true`,
+//! and a `kernels` record must carry `identical: true`.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use problp_conformance::BackendKind;
-use problp_telemetry::{HistogramSnapshot, JsonValue};
+use problp_telemetry::JsonValue;
+
+use crate::workload::{Latency, Report};
 
 /// The schema tag every `BENCH_*.json` carries; bump on breaking
 /// changes to the required keys.
@@ -47,9 +51,9 @@ pub struct BenchRecord {
     pub requests: u64,
     /// End-to-end requests per second.
     pub throughput_rps: f64,
-    /// The sojourn-latency histogram the percentiles are derived from
-    /// (`None` for scenarios without a latency dimension).
-    pub latency: Option<HistogramSnapshot>,
+    /// The latency percentiles (`None` for scenarios without a latency
+    /// dimension).
+    pub latency: Option<Latency>,
     /// Typed admission rejects (quota, unknown model, ...).
     pub rejects: u64,
     /// Scenario-specific additions, appended to the JSON object as-is.
@@ -65,23 +69,13 @@ impl BenchRecord {
     /// The record as a JSON document with the schema's required keys
     /// first and `extra` appended.
     pub fn to_json(&self) -> JsonValue {
-        let quant = |p: f64| -> JsonValue {
-            self.latency
-                .as_ref()
-                .and_then(|h| h.quantile(p))
-                .map_or(JsonValue::Null, JsonValue::from)
-        };
+        let l = self.latency.unwrap_or_default();
+        let us = |v: Option<u64>| v.map_or(JsonValue::Null, JsonValue::from);
         let latency = JsonValue::Object(vec![
-            ("p50".to_string(), quant(50.0)),
-            ("p90".to_string(), quant(90.0)),
-            ("p99".to_string(), quant(99.0)),
-            (
-                "max".to_string(),
-                self.latency
-                    .as_ref()
-                    .filter(|h| h.count > 0)
-                    .map_or(JsonValue::Null, |h| JsonValue::from(h.max)),
-            ),
+            ("p50".to_string(), us(l.p50)),
+            ("p90".to_string(), us(l.p90)),
+            ("p99".to_string(), us(l.p99)),
+            ("max".to_string(), us(l.max)),
         ]);
         let mut fields = vec![
             ("schema".to_string(), JsonValue::from(BENCH_SCHEMA)),
@@ -144,15 +138,33 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let latency = doc
         .get("latency_us")
         .ok_or("missing object key \"latency_us\"")?;
+    let mut prev: Option<(&str, f64)> = None;
     for key in ["p50", "p90", "p99", "max"] {
         match latency.get(key) {
-            Some(JsonValue::Number(_)) | Some(JsonValue::Null) => {}
+            Some(JsonValue::Number(v)) => {
+                if let Some((lower, w)) = prev.filter(|(_, w)| v < w) {
+                    return Err(format!(
+                        "latency_us.{key} ({v}) is below latency_us.{lower} ({w})"
+                    ));
+                }
+                prev = Some((key, *v));
+            }
+            Some(JsonValue::Null) => {}
             Some(other) => {
                 return Err(format!(
                     "latency_us.{key} must be a number or null, got {other:?}"
                 ))
             }
             None => return Err(format!("missing latency_us key {key:?}")),
+        }
+    }
+    if let Some(admitted) = doc.get("admitted") {
+        let identical = doc.get("identical");
+        let counts = (admitted.as_f64(), identical.and_then(JsonValue::as_f64));
+        if counts.0.is_none() || counts.0 != counts.1 {
+            return Err(format!(
+                "identical ({identical:?}) differs from admitted ({admitted:?})"
+            ));
         }
     }
     let verdict = match scenario {
@@ -175,118 +187,65 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
     }
 }
 
-/// [`BenchRecord`] for the mixed-tenant serving study
-/// (`BENCH_serving.json`): throughput of the pooled pass, sojourn
-/// percentiles from the study's histogram, and the scalar-replay
-/// comparison as extras.
-pub fn serving_bench_record(study: &crate::ServingStudy) -> BenchRecord {
-    BenchRecord {
-        scenario: "serving".to_string(),
-        requests: study.requests as u64,
-        throughput_rps: if study.served_secs > 0.0 {
-            study.requests as f64 / study.served_secs
-        } else {
-            0.0
-        },
-        latency: Some(study.sojourn.clone()),
-        rejects: 0,
-        extra: vec![
-            ("identical".to_string(), JsonValue::from(study.identical)),
-            (
-                "scalar_secs".to_string(),
-                JsonValue::from(study.scalar_secs),
-            ),
-            (
-                "served_secs".to_string(),
-                JsonValue::from(study.served_secs),
-            ),
-            ("speedup".to_string(), JsonValue::from(study.speedup())),
-            ("models".to_string(), JsonValue::from(study.models.len())),
-        ],
-    }
-}
-
-/// [`BenchRecord`] for the exact answer-cache study
-/// (`BENCH_cache.json`): throughput of the cache-on pass, its sojourn
-/// percentiles, and the cache books + cache-off comparison as extras.
-pub fn cache_bench_record(study: &crate::CacheStudy) -> BenchRecord {
-    BenchRecord {
-        scenario: "cache".to_string(),
-        requests: study.requests as u64,
-        throughput_rps: if study.cached_secs > 0.0 {
-            study.requests as f64 / study.cached_secs
-        } else {
-            0.0
-        },
-        latency: Some(study.sojourn.clone()),
-        rejects: 0,
-        extra: vec![
-            ("unique".to_string(), JsonValue::from(study.unique)),
-            ("rounds".to_string(), JsonValue::from(study.rounds)),
-            ("identical".to_string(), JsonValue::from(study.identical)),
-            ("cold_secs".to_string(), JsonValue::from(study.cold_secs)),
-            (
-                "cached_secs".to_string(),
-                JsonValue::from(study.cached_secs),
-            ),
-            ("speedup".to_string(), JsonValue::from(study.speedup())),
-            ("cache_hits".to_string(), JsonValue::from(study.cache_hits)),
-            (
-                "cache_misses".to_string(),
-                JsonValue::from(study.cache_misses),
-            ),
-            (
-                "cache_evictions".to_string(),
-                JsonValue::from(study.cache_evictions),
-            ),
-            ("hit_rate".to_string(), JsonValue::from(study.hit_rate())),
-        ],
-    }
-}
-
-/// [`BenchRecord`] for the QoS study (`BENCH_qos.json`): the quota
-/// rejects are the record's `rejects`, with the policy settings and
-/// per-class percentiles as extras.
-pub fn qos_bench_record(study: &crate::QosStudy) -> BenchRecord {
-    let classes = study
+/// [`BenchRecord`] for one checked workload run
+/// (`BENCH_<scenario>.json`): answered requests per second of wall time,
+/// the run's latency percentiles and its quota rejects, with the
+/// checker's counts, the timings, the cache books, the per-lane
+/// percentiles and (over HTTP) the status ledger as extras.
+pub fn workload_bench_record(report: &Report) -> BenchRecord {
+    let classes = report
         .classes
         .iter()
         .map(|c| {
+            let us = |v: Option<u64>| v.map_or(JsonValue::Null, JsonValue::from);
             JsonValue::Object(vec![
-                ("class".to_string(), JsonValue::from(c.class.as_str())),
+                ("class".to_string(), JsonValue::from(c.class.to_string())),
                 ("requests".to_string(), JsonValue::from(c.requests)),
                 ("admitted".to_string(), JsonValue::from(c.admitted)),
-                (
-                    "p50_us".to_string(),
-                    c.p50_us
-                        .map_or(JsonValue::Null, |v| JsonValue::from(v as u64)),
-                ),
-                (
-                    "p99_us".to_string(),
-                    c.p99_us
-                        .map_or(JsonValue::Null, |v| JsonValue::from(v as u64)),
-                ),
+                ("p50_us".to_string(), us(c.latency.p50)),
+                ("p99_us".to_string(), us(c.latency.p99)),
             ])
         })
         .collect();
+    let mut extra: Vec<(String, JsonValue)> = [
+        ("models", JsonValue::from(report.models.len())),
+        ("workers", JsonValue::from(report.scenario.config.workers)),
+        ("rounds", JsonValue::from(report.scenario.rounds.max(1))),
+        ("admitted", JsonValue::from(report.admitted)),
+        ("identical", JsonValue::from(report.identical)),
+        ("scalar_secs", JsonValue::from(report.scalar_secs)),
+        ("served_secs", JsonValue::from(report.served_secs)),
+        ("speedup", JsonValue::from(report.speedup())),
+        ("cache_hits", JsonValue::from(report.stats.cache_hits)),
+        ("cache_misses", JsonValue::from(report.stats.cache_misses)),
+        (
+            "cache_evictions",
+            JsonValue::from(report.stats.cache_evictions),
+        ),
+        ("hit_rate", JsonValue::from(report.hit_rate())),
+        ("classes", JsonValue::Array(classes)),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect();
+    if let Some(cold) = report.cold_secs {
+        extra.push(("cold_secs".to_string(), JsonValue::from(cold)));
+    }
+    if !report.statuses.is_empty() {
+        let ledger = report
+            .statuses
+            .iter()
+            .map(|(code, n)| (code.to_string(), JsonValue::from(*n)))
+            .collect();
+        extra.push(("statuses".to_string(), JsonValue::Object(ledger)));
+    }
     BenchRecord {
-        scenario: "qos".to_string(),
-        requests: study.requests as u64,
-        // The QoS study measures policy behavior, not wall time; its
-        // throughput dimension is admitted share instead.
-        throughput_rps: 0.0,
-        latency: Some(study.sojourn.clone()),
-        rejects: study.quota_rejected as u64,
-        extra: vec![
-            ("quota".to_string(), JsonValue::from(study.quota)),
-            ("admitted".to_string(), JsonValue::from(study.admitted)),
-            ("identical".to_string(), JsonValue::from(study.identical)),
-            (
-                "hot_tenant_rejected".to_string(),
-                JsonValue::from(study.hot_tenant_rejected),
-            ),
-            ("classes".to_string(), JsonValue::Array(classes)),
-        ],
+        scenario: report.scenario.name.clone(),
+        requests: report.requests as u64,
+        throughput_rps: report.throughput_rps(),
+        latency: Some(report.latency),
+        rejects: report.quota_rejected as u64,
+        extra,
     }
 }
 
@@ -469,12 +428,13 @@ pub fn kernels_bench_record(study: &crate::KernelStudy) -> BenchRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{run, Scenario};
     use crate::SEED;
 
     #[test]
     fn serving_record_round_trips_and_validates() {
-        let study = crate::serving_study(40, SEED);
-        let record = serving_bench_record(&study);
+        let report = run(&Scenario::serving(40)).expect("serving runs");
+        let record = workload_bench_record(&report);
         assert_eq!(record.file_name(), "BENCH_serving.json");
         let text = record.to_json().render_pretty();
         validate_bench_json(&text).expect("emitted record validates");
@@ -484,8 +444,8 @@ mod tests {
             Some(BENCH_SCHEMA)
         );
         assert_eq!(doc.get("requests").and_then(JsonValue::as_f64), Some(40.0));
-        // 40 served requests → the histogram saw them all, so the
-        // percentiles are real numbers.
+        // 40 served requests → 40 latency samples, so the percentiles
+        // are real numbers.
         assert!(doc
             .get("latency_us")
             .and_then(|l| l.get("p50"))
@@ -495,18 +455,22 @@ mod tests {
 
     #[test]
     fn cache_record_validates_and_the_books_are_deterministic() {
-        let study = crate::cache_study(18, 3, SEED);
-        assert_eq!(study.unique, 18);
-        assert_eq!(study.requests, 54);
+        let report = run(&Scenario {
+            rounds: 3,
+            ..Scenario::cache(18)
+        })
+        .expect("cache runs");
+        assert_eq!(report.requests - report.replayed, 18);
+        assert_eq!(report.requests, 54);
         // Round one misses each of the 18 distinct keys once; the drain
         // barrier guarantees rounds two and three hit all of them.
-        assert_eq!(study.cache_misses, 18);
-        assert_eq!(study.cache_hits, 36);
-        assert_eq!(study.cache_evictions, 0);
-        // A hit replays the memoized payload: the cached pass must be
-        // bit-identical to the cache-off pass on every request.
-        assert_eq!(study.identical, study.requests);
-        let record = cache_bench_record(&study);
+        assert_eq!(report.stats.cache_misses, 18);
+        assert_eq!(report.stats.cache_hits, 36);
+        assert_eq!(report.stats.cache_evictions, 0);
+        // A hit replays the memoized payload: every cached answer must
+        // be bit-identical to the uncached reference.
+        assert_eq!(report.identical, report.requests);
+        let record = workload_bench_record(&report);
         assert_eq!(record.file_name(), "BENCH_cache.json");
         let text = record.to_json().render_pretty();
         validate_bench_json(&text).expect("cache record validates");
@@ -519,7 +483,7 @@ mod tests {
 
     #[test]
     fn qos_and_conformance_records_validate() {
-        let qos = qos_bench_record(&crate::qos_study(80, SEED));
+        let qos = workload_bench_record(&run(&Scenario::qos(80)).expect("qos runs"));
         validate_bench_json(&qos.to_json().render()).expect("qos record validates");
         assert!(qos.rejects > 0, "the QoS study must exercise the quota");
         let conf = conformance_bench_record(&crate::conformance_study(8, SEED));
@@ -566,6 +530,26 @@ mod tests {
             .contains("identical"));
         let no_flag = format!(r#"{{{head}, "scenario": "kernels"}}"#);
         assert!(validate_bench_json(&no_flag).is_err());
+        let serving = |latency: &str, admitted: u64, identical: u64| {
+            format!(
+                r#"{{"schema": "problp-bench/v1", "scenario": "serving", "requests": 4,
+                "throughput_rps": 2.0, "rejects": 0, "latency_us": {latency},
+                "admitted": {admitted}, "identical": {identical}}}"#
+            )
+        };
+        let ordered = r#"{"p50": 5, "p90": 7, "p99": null, "max": 9}"#;
+        validate_bench_json(&serving(ordered, 4, 4)).expect("ordered percentiles validate");
+        let inverted = r#"{"p50": 5, "p90": 7, "p99": 6, "max": 9}"#;
+        assert!(validate_bench_json(&serving(inverted, 4, 4))
+            .unwrap_err()
+            .contains("latency_us.p99"));
+        let over_max = r#"{"p50": 5, "p90": null, "p99": null, "max": 4}"#;
+        assert!(validate_bench_json(&serving(over_max, 4, 4))
+            .unwrap_err()
+            .contains("latency_us.max"));
+        assert!(validate_bench_json(&serving(ordered, 4, 3))
+            .unwrap_err()
+            .contains("differs from admitted"));
     }
 
     #[test]

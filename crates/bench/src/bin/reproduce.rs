@@ -12,17 +12,19 @@
 //! `BENCH_*.json` files). Options: `--instances N` (test instances per
 //! benchmark, default 300; the paper uses 1000 for Alarm),
 //! `--write-experiments` (rewrite `EXPERIMENTS.md` from the measured
-//! results). The `kernels`, `serving` and `conformance` sections also
-//! write machine-readable `BENCH_kernels.json` / `BENCH_serving.json` /
-//! `BENCH_qos.json` / `BENCH_cache.json` / `BENCH_conformance.json`
-//! perf records into the working directory.
+//! results). The `kernels`, `serving`, `conformance` and `verify`
+//! sections also write machine-readable perf records into the working
+//! directory: `serving` runs the four preset workload scenarios of
+//! `problp_bench::workload::Scenario` and writes
+//! `BENCH_serving.json`, `BENCH_qos.json`, `BENCH_cache.json` and
+//! `BENCH_gateway.json`; the others write `BENCH_kernels.json`,
+//! `BENCH_conformance.json` and `BENCH_verify.json`.
 
+use problp_bench::workload::{self, Scenario};
 use problp_bench::{
-    alarm_fixture, cache_bench_record, conformance_bench_record, figure5a, figure5b,
-    kernels_bench_record, qos_bench_record, render_cache_report, render_conformance_report,
-    render_kernel_study, render_qos_report, render_serving_report, render_sweep, render_table2,
-    serving_bench_record, table1, table2, validate_bench_json, verify_bench_record, BenchRecord,
-    SEED,
+    alarm_fixture, conformance_bench_record, figure5a, figure5b, kernels_bench_record,
+    render_conformance_report, render_kernel_study, render_sweep, render_table2, table1, table2,
+    validate_bench_json, verify_bench_record, workload_bench_record, BenchRecord, SEED,
 };
 
 struct Options {
@@ -205,27 +207,25 @@ fn main() {
     }
 
     if matches!(opts.command.as_str(), "serving" | "all") {
-        let study = problp_bench::serving_study(512, SEED);
-        let t = render_serving_report(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## Sharded multi-circuit serving — mixed-tenant workload\n\n```text\n{t}```\n"
-        ));
-        emit_bench(&serving_bench_record(&study));
-        let study = problp_bench::qos_study(256, SEED);
-        let t = render_qos_report(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## QoS serving policy — hot-tenant quota + priority lanes + adaptive wait\n\n```text\n{t}```\n"
-        ));
-        emit_bench(&qos_bench_record(&study));
-        let study = problp_bench::cache_study(64, 4, SEED);
-        let t = render_cache_report(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## Exact answer caching — repeated mixed-tenant trace\n\n```text\n{t}```\n"
-        ));
-        emit_bench(&cache_bench_record(&study));
+        let presets = [
+            Scenario::serving(512),
+            Scenario::qos(256),
+            Scenario::cache(64),
+            Scenario::gateway(256),
+        ];
+        for scenario in presets {
+            let report = workload::run(&scenario).unwrap_or_else(|e| {
+                eprintln!("error: the {} scenario failed: {e}", scenario.name);
+                std::process::exit(1)
+            });
+            let t = report.render();
+            println!("{t}");
+            sections.push(format!(
+                "## Serving workload — `{}` scenario\n\n```text\n{t}```\n",
+                scenario.name
+            ));
+            emit_bench(&workload_bench_record(&report));
+        }
     }
 
     if matches!(opts.command.as_str(), "conformance" | "all") {

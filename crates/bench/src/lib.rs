@@ -9,7 +9,11 @@
 //! * [`table2`] — the full framework on all four benchmarks (paper
 //!   Table 2).
 //!
-//! The `reproduce` binary renders these as text tables and can emit the
+//! Every serving measurement runs through one driver,
+//! [`workload::run`]: a [`workload::Scenario`] names the models, the
+//! trace and the transport, and the checked [`workload::Report`] becomes
+//! one `BENCH_*.json` record ([`workload_bench_record`]). The
+//! `reproduce` binary renders these as text tables and can emit the
 //! `EXPERIMENTS.md` report; the Criterion benches in `benches/` measure
 //! the runtime cost of each experiment's pipeline.
 
@@ -17,10 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod bench_json;
+pub mod workload;
 
 pub use bench_json::{
-    cache_bench_record, conformance_bench_record, kernels_bench_record, qos_bench_record,
-    serving_bench_record, validate_bench_json, verify_bench_record, BenchRecord, BENCH_SCHEMA,
+    conformance_bench_record, kernels_bench_record, validate_bench_json, verify_bench_record,
+    workload_bench_record, BenchRecord, BENCH_SCHEMA,
 };
 
 use problp_ac::{compile, transform::binarize, AcGraph};
@@ -800,7 +805,7 @@ impl ThroughputPoint {
 
 /// Runs `f` repeatedly for at least ~0.2 s and returns its rate in calls
 /// per second, scaled by `evals_per_call`.
-fn rate_of(mut f: impl FnMut(), evals_per_call: usize) -> f64 {
+pub fn rate_of(mut f: impl FnMut(), evals_per_call: usize) -> f64 {
     use std::time::Instant;
     // Warm caches and the branch predictor.
     f();
@@ -1163,734 +1168,6 @@ pub fn ablation_report() -> String {
     out
 }
 
-/// One model's share of a mixed-tenant serving study.
-#[derive(Clone, Debug)]
-pub struct ServingModelRow {
-    /// Model id in the pool.
-    pub model: String,
-    /// Variables in the network.
-    pub vars: usize,
-    /// Requests of the trace that targeted this model.
-    pub requests: usize,
-}
-
-/// The result of [`serving_study`]: a mixed-tenant trace replayed
-/// scalar (per-request tree-walk) and through the sharded serving layer.
-#[derive(Clone, Debug)]
-pub struct ServingStudy {
-    /// Per-model request shares.
-    pub models: Vec<ServingModelRow>,
-    /// Requests in the trace.
-    pub requests: usize,
-    /// Answers that reproduced the per-request evaluation bit for bit.
-    pub identical: usize,
-    /// Wall time of the scalar replay, seconds.
-    pub scalar_secs: f64,
-    /// Wall time of the pooled serving pass, seconds.
-    pub served_secs: f64,
-    /// Per-request sojourn latencies (submit → dispatcher completion)
-    /// of the pooled pass, as a fixed-bucket histogram — the source of
-    /// the `BENCH_serving.json` percentiles.
-    pub sojourn: problp_telemetry::HistogramSnapshot,
-}
-
-impl ServingStudy {
-    /// Scalar-replay wall time over pooled wall time.
-    pub fn speedup(&self) -> f64 {
-        self.scalar_secs / self.served_secs
-    }
-}
-
-/// The serving studies' shared fixture — the three tenants
-/// (Alarm + Asia + Sprinkler) as (name, network) pairs, their compiled
-/// circuits, and the per-model canonical evidence pools.
-#[allow(clippy::type_complexity)]
-fn serving_fixture(
-    seed: u64,
-) -> (
-    Vec<(String, problp_bayes::BayesNet)>,
-    Vec<AcGraph>,
-    Vec<Vec<problp_bayes::Evidence>>,
-) {
-    use problp_bayes::networks;
-    let tenants = vec![
-        ("alarm".to_string(), networks::alarm(seed)),
-        ("asia".to_string(), networks::asia()),
-        ("sprinkler".to_string(), networks::sprinkler()),
-    ];
-    let circuits: Vec<AcGraph> = tenants
-        .iter()
-        .map(|(_, net)| compile(net).expect("benchmark network compiles"))
-        .collect();
-    let pools = circuits
-        .iter()
-        .map(|ac| problp_bayes::single_variable_evidences(ac.var_arities()))
-        .collect();
-    (tenants, circuits, pools)
-}
-
-/// One random query kind for `net` in the serving studies' canonical
-/// marginal/MPE/conditional mix.
-fn pick_query(
-    rng: &mut rand::rngs::StdRng,
-    net: &problp_bayes::BayesNet,
-) -> problp_bayes::BatchQuery {
-    use problp_bayes::BatchQuery;
-    use rand::Rng;
-    match rng.random_range(0..3u32) {
-        0 => BatchQuery::Marginal,
-        1 => BatchQuery::Mpe,
-        _ => BatchQuery::Conditional {
-            query_var: net.roots()[0],
-        },
-    }
-}
-
-/// The p-th percentile (nearest rank) of an ascending-sorted sample of
-/// microsecond latencies. Shared by the serving studies and the
-/// `serve-sim` CLI report.
-///
-/// Edge behavior is explicit rather than silent: an empty sample has no
-/// percentile (`None`, not a fake `0`), `p` is clamped to `[0, 100]`
-/// (so `p = 100` — and anything above — is exactly the last element,
-/// never out of bounds), and a non-finite `p` reads as `0`.
-pub fn percentile_us(sorted_us: &[u128], p: f64) -> Option<u128> {
-    let last = sorted_us.len().checked_sub(1)?;
-    let p = if p.is_finite() {
-        p.clamp(0.0, 100.0)
-    } else {
-        0.0
-    };
-    let idx = ((p / 100.0) * last as f64).round() as usize;
-    Some(sorted_us[idx.min(last)])
-}
-
-/// Runs the mixed-workload serving study: Alarm + Asia + Sprinkler
-/// hosted in one [`problp_engine::CircuitPool`], a seeded trace mixing
-/// models and query kinds (marginal / MPE / conditional) coalesced by
-/// the admission queue, checked bit-identical against per-request
-/// evaluation and timed against the scalar tree-walk replay.
-pub fn serving_study(requests: usize, seed: u64) -> ServingStudy {
-    use problp_bayes::BatchQuery;
-    use problp_engine::{CircuitPool, ServeConfig, ServeRequest, Server};
-    use problp_num::F64Arith;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::{Duration, Instant};
-
-    let (tenants, circuits, pools) = serving_fixture(seed);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trace: Vec<(usize, ServeRequest)> = (0..requests.max(1))
-        .map(|_| {
-            let t = rng.random_range(0..tenants.len());
-            let (name, net) = &tenants[t];
-            let query = pick_query(&mut rng, net);
-            let pool = &pools[t];
-            let evidence = pool[rng.random_range(0..pool.len())].clone();
-            (
-                t,
-                ServeRequest {
-                    model: name.clone(),
-                    evidence,
-                    query,
-                    priority: problp_engine::Priority::Interactive,
-                },
-            )
-        })
-        .collect();
-
-    // Scalar replay: each request alone, on the tree-walk.
-    let scalar_start = Instant::now();
-    for (t, req) in &trace {
-        let ac = &circuits[*t];
-        match req.query {
-            BatchQuery::Marginal => {
-                std::hint::black_box(ac.evaluate(&req.evidence).expect("evaluates"));
-            }
-            BatchQuery::Mpe => {
-                std::hint::black_box(ac.mpe_assignment(&req.evidence).expect("decodes"));
-            }
-            BatchQuery::Conditional { query_var } => {
-                let den = ac.evaluate(&req.evidence).expect("evaluates");
-                for s in 0..ac.var_arities()[query_var.index()] {
-                    let mut with_q = req.evidence.clone();
-                    with_q.observe(query_var, s);
-                    std::hint::black_box(ac.evaluate(&with_q).expect("evaluates") / den);
-                }
-            }
-        }
-    }
-    let scalar_secs = scalar_start.elapsed().as_secs_f64();
-
-    // Pooled serving through the admission queue.
-    let mut pool = CircuitPool::new(F64Arith::new());
-    for ((name, _), ac) in tenants.iter().zip(&circuits) {
-        pool.register(name, ac).expect("registers");
-    }
-    let server = Server::start(
-        pool,
-        ServeConfig {
-            max_batch: 32,
-            max_wait: Duration::from_micros(500),
-            workers: 4,
-            ..ServeConfig::default()
-        },
-    );
-    let requests_only: Vec<ServeRequest> = trace.iter().map(|(_, r)| r.clone()).collect();
-    let sojourn = problp_telemetry::Histogram::new(problp_telemetry::default_latency_buckets_us());
-    let served_start = Instant::now();
-    // Submit the whole trace, then drain with one shared deadline
-    // budget: a wedged dispatcher fails the study (typed
-    // `ServeError::Timeout` slots) instead of hanging it, and each
-    // ticket's completion timestamp feeds the sojourn histogram.
-    let submitted: Vec<(Instant, _)> = requests_only
-        .iter()
-        .map(|r| (Instant::now(), server.submit(r.clone())))
-        .collect();
-    let drain_deadline = Instant::now() + Duration::from_secs(30);
-    let served: Vec<_> = submitted
-        .into_iter()
-        .map(|(enqueued, ticket)| match ticket {
-            Ok(t) => {
-                let (reply, completed) =
-                    t.wait_deadline_timed(drain_deadline.saturating_duration_since(Instant::now()));
-                sojourn.observe_duration(completed.saturating_duration_since(enqueued));
-                reply
-            }
-            Err(e) => Err(e),
-        })
-        .collect();
-    let served_secs = served_start.elapsed().as_secs_f64();
-    // Payload comparison: sticky flags are batch-scope by design.
-    let identical = requests_only
-        .iter()
-        .zip(&served)
-        .filter(|(req, got)| problp_engine::lane_answer_eq(&server.pool().serve_one(req), got))
-        .count();
-    server.shutdown();
-
-    let models = tenants
-        .iter()
-        .map(|(name, net)| ServingModelRow {
-            model: name.clone(),
-            vars: net.var_count(),
-            requests: trace.iter().filter(|(_, r)| &r.model == name).count(),
-        })
-        .collect();
-    ServingStudy {
-        models,
-        requests: trace.len(),
-        identical,
-        scalar_secs,
-        served_secs,
-        sojourn: sojourn.snapshot(),
-    }
-}
-
-/// Runs [`serving_study`] and renders it as a text table.
-pub fn serving_report(requests: usize, seed: u64) -> String {
-    render_serving_report(&serving_study(requests, seed))
-}
-
-/// The result of [`cache_study`]: the same repeated mixed-tenant trace
-/// served twice — exact answer cache off, then on — with the cached
-/// pass's books. The trace repeats `unique` distinct requests for
-/// `rounds` rounds with a drain barrier between rounds, so the cached
-/// pass's hit count is deterministic: round one misses every key once,
-/// every later round hits every key.
-#[derive(Clone, Debug)]
-pub struct CacheStudy {
-    /// Distinct requests per round (distinct cache keys).
-    pub unique: usize,
-    /// Rounds the trace repeats (≥ 2, so hits actually happen).
-    pub rounds: usize,
-    /// Total requests per pass (`unique * rounds`).
-    pub requests: usize,
-    /// Cached answers bit-identical to the cache-off pass.
-    pub identical: usize,
-    /// Wall time of the cache-off pass, seconds.
-    pub cold_secs: f64,
-    /// Wall time of the cache-on pass, seconds.
-    pub cached_secs: f64,
-    /// Cache hits of the cached pass (`(rounds - 1) * unique`).
-    pub cache_hits: u64,
-    /// Cache misses of the cached pass (`unique`).
-    pub cache_misses: u64,
-    /// LRU evictions of the cached pass (zero: ample capacity).
-    pub cache_evictions: u64,
-    /// Sojourn latencies of the cache-on pass — hits resolve at
-    /// admission, so the low percentiles collapse.
-    pub sojourn: problp_telemetry::HistogramSnapshot,
-}
-
-impl CacheStudy {
-    /// Cache-off wall time over cache-on wall time.
-    pub fn speedup(&self) -> f64 {
-        self.cold_secs / self.cached_secs
-    }
-
-    /// Hits over lookups of the cached pass.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
-    }
-}
-
-/// Runs the exact answer-cache study: `unique` distinct requests
-/// (round-robin over the three tenants, sweeping query kind × canonical
-/// evidence so every cache key is distinct) served for `rounds` rounds,
-/// once with `cache_capacity: 0` and once with ample capacity. The
-/// cached pass must reproduce the cache-off pass bit for bit — a hit
-/// replays the memoized payload, it never re-derives it.
-pub fn cache_study(unique: usize, rounds: usize, seed: u64) -> CacheStudy {
-    use problp_bayes::BatchQuery;
-    use problp_engine::{CircuitPool, Priority, ServeConfig, ServeRequest, Server};
-    use problp_num::F64Arith;
-    use std::time::{Duration, Instant};
-
-    let (tenants, circuits, pools) = serving_fixture(seed);
-    let unique = unique.max(1);
-    let rounds = rounds.max(2);
-
-    // Distinct-by-construction requests: per tenant, slot `s` maps to
-    // (query kind `s / pool`, evidence `s % pool`), so no two slots of
-    // one tenant share a cache key and round one cannot hit.
-    let mut base: Vec<ServeRequest> = Vec::with_capacity(unique);
-    let mut cursor = vec![0usize; tenants.len()];
-    let mut i = 0usize;
-    while base.len() < unique {
-        let t = i % tenants.len();
-        i += 1;
-        let pool = &pools[t];
-        let slot = cursor[t];
-        if slot >= pool.len() * 3 {
-            if cursor.iter().zip(&pools).all(|(c, p)| *c >= p.len() * 3) {
-                break; // every tenant's key space is exhausted
-            }
-            continue;
-        }
-        cursor[t] += 1;
-        let (name, net) = &tenants[t];
-        let query = match slot / pool.len() {
-            0 => BatchQuery::Marginal,
-            1 => BatchQuery::Mpe,
-            _ => BatchQuery::Conditional {
-                query_var: net.roots()[0],
-            },
-        };
-        base.push(ServeRequest {
-            model: name.clone(),
-            evidence: pool[slot % pool.len()].clone(),
-            query,
-            priority: Priority::Interactive,
-        });
-    }
-    let unique = base.len();
-
-    // One pass: submit each round as a burst, drain it, repeat. The
-    // drain barrier between rounds makes the cached pass deterministic:
-    // by the time round `r + 1` submits, every round-`r` dispatch has
-    // filled the cache.
-    let run_pass = |capacity: usize| {
-        let mut pool = CircuitPool::new(F64Arith::new());
-        for ((name, _), ac) in tenants.iter().zip(&circuits) {
-            pool.register(name, ac).expect("registers");
-        }
-        let server = Server::start(
-            pool,
-            ServeConfig {
-                max_batch: 32,
-                max_wait: Duration::from_micros(500),
-                workers: 4,
-                cache_capacity: capacity,
-                ..ServeConfig::default()
-            },
-        );
-        let sojourn =
-            problp_telemetry::Histogram::new(problp_telemetry::default_latency_buckets_us());
-        let mut answers = Vec::with_capacity(unique * rounds);
-        let start = Instant::now();
-        for _ in 0..rounds {
-            let submitted: Vec<(Instant, _)> = base
-                .iter()
-                .map(|r| (Instant::now(), server.submit(r.clone())))
-                .collect();
-            let deadline = Instant::now() + Duration::from_secs(30);
-            for (enqueued, ticket) in submitted {
-                match ticket {
-                    Ok(t) => {
-                        let (reply, completed) = t.wait_deadline_timed(
-                            deadline.saturating_duration_since(Instant::now()),
-                        );
-                        sojourn.observe_duration(completed.saturating_duration_since(enqueued));
-                        answers.push(reply);
-                    }
-                    Err(e) => answers.push(Err(e)),
-                }
-            }
-        }
-        let secs = start.elapsed().as_secs_f64();
-        let stats = server.stats();
-        server.shutdown();
-        (secs, answers, stats, sojourn.snapshot())
-    };
-
-    let (cold_secs, cold, _, _) = run_pass(0);
-    let (cached_secs, cached, stats, sojourn) = run_pass(unique * 2);
-    let identical = cold
-        .iter()
-        .zip(&cached)
-        .filter(|(a, b)| problp_engine::lane_answer_eq(a, b))
-        .count();
-    CacheStudy {
-        unique,
-        rounds,
-        requests: unique * rounds,
-        identical,
-        cold_secs,
-        cached_secs,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        cache_evictions: stats.cache_evictions,
-        sojourn,
-    }
-}
-
-/// Runs [`cache_study`] and renders it as a text table.
-pub fn cache_report(unique: usize, rounds: usize, seed: u64) -> String {
-    render_cache_report(&cache_study(unique, rounds, seed))
-}
-
-/// Renders an already-run cache study as a text table (so callers can
-/// reuse the same study for `BENCH_cache.json`).
-pub fn render_cache_report(study: &CacheStudy) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Exact answer caching: {} distinct requests x {} rounds over 3 models\n",
-        study.unique, study.rounds
-    ));
-    out.push_str(&format!(
-        "bit-identical to the cache-off pass: {}/{}\n",
-        study.identical, study.requests
-    ));
-    out.push_str(&format!(
-        "cache books: {} hits / {} misses / {} evictions (hit rate {:.1}%)\n",
-        study.cache_hits,
-        study.cache_misses,
-        study.cache_evictions,
-        study.hit_rate() * 100.0
-    ));
-    out.push_str(&format!(
-        "cache off {:>8.2} ms | cache on {:>8.2} ms | speedup {:.1}x\n",
-        study.cold_secs * 1e3,
-        study.cached_secs * 1e3,
-        study.speedup()
-    ));
-    let fmt_q = |p: f64| {
-        study
-            .sojourn
-            .quantile(p)
-            .map_or_else(|| "-".to_string(), |us| us.to_string())
-    };
-    out.push_str(&format!(
-        "cached-pass sojourn (us): p50 {} | p90 {} | p99 {} | max {}\n",
-        fmt_q(50.0),
-        fmt_q(90.0),
-        fmt_q(99.0),
-        study.sojourn.max
-    ));
-    out
-}
-
-/// Renders an already-run serving study as a text table (so callers can
-/// reuse the same study for `BENCH_serving.json`).
-pub fn render_serving_report(study: &ServingStudy) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Sharded multi-circuit serving: {} mixed requests (marginal/MPE/conditional) over {} models\n",
-        study.requests,
-        study.models.len()
-    ));
-    out.push_str(&format!(
-        "{:>10} | {:>5} | {:>8}\n{}\n",
-        "model",
-        "vars",
-        "requests",
-        "-".repeat(30)
-    ));
-    for m in &study.models {
-        out.push_str(&format!(
-            "{:>10} | {:>5} | {:>8}\n",
-            m.model, m.vars, m.requests
-        ));
-    }
-    out.push_str(&format!(
-        "\nbit-identical to per-request evaluation: {}/{}\n",
-        study.identical, study.requests
-    ));
-    out.push_str(&format!(
-        "scalar replay {:>8.2} ms | pooled serving {:>8.2} ms | speedup {:.1}x\n",
-        study.scalar_secs * 1e3,
-        study.served_secs * 1e3,
-        study.speedup()
-    ));
-    let fmt_q = |p: f64| {
-        study
-            .sojourn
-            .quantile(p)
-            .map_or_else(|| "-".to_string(), |us| us.to_string())
-    };
-    out.push_str(&format!(
-        "sojourn latency (us): p50 {} | p90 {} | p99 {} | max {}\n",
-        fmt_q(50.0),
-        fmt_q(90.0),
-        fmt_q(99.0),
-        study.sojourn.max
-    ));
-    out
-}
-
-/// One priority class's share of a [`qos_study`] trace.
-#[derive(Clone, Debug)]
-pub struct QosClassRow {
-    /// The priority class ("interactive" / "batch").
-    pub class: String,
-    /// Requests of the trace in this class.
-    pub requests: usize,
-    /// Of those, requests admitted past the tenant quota.
-    pub admitted: usize,
-    /// Median sojourn latency of the admitted requests, microseconds
-    /// (`None` when the class admitted nothing).
-    pub p50_us: Option<u128>,
-    /// Tail sojourn latency of the admitted requests, microseconds
-    /// (`None` when the class admitted nothing).
-    pub p99_us: Option<u128>,
-}
-
-/// The result of [`qos_study`]: a hot-tenant + mixed-priority trace
-/// served under the full QoS policy (per-tenant quota, priority lanes,
-/// adaptive max_wait), with per-class latency and quota accounting.
-#[derive(Clone, Debug)]
-pub struct QosStudy {
-    /// Requests in the trace.
-    pub requests: usize,
-    /// The per-tenant lane quota the study ran under.
-    pub quota: usize,
-    /// Requests admitted (the rest were quota-rejected).
-    pub admitted: usize,
-    /// Requests rejected with `ServeError::QuotaExceeded` — all from
-    /// the hot tenant, by construction.
-    pub quota_rejected: usize,
-    /// Of the rejections, how many hit the hot tenant (must be all).
-    pub hot_tenant_rejected: usize,
-    /// Admitted answers that reproduced per-request evaluation bit for
-    /// bit.
-    pub identical: usize,
-    /// Per-priority-class latency rows.
-    pub classes: Vec<QosClassRow>,
-    /// All admitted requests' sojourn latencies as one fixed-bucket
-    /// histogram — the source of the `BENCH_qos.json` percentiles.
-    pub sojourn: problp_telemetry::HistogramSnapshot,
-}
-
-/// Runs the QoS serving study: Alarm as a *hot tenant* flooding the
-/// [`problp_engine::Priority::Interactive`] lane, Asia + Sprinkler as
-/// background [`problp_engine::Priority::Batch`] traffic, served under
-/// a per-tenant quota, priority lanes with aging, and the adaptive
-/// coalescing wait. Checks that every admitted answer is bit-identical
-/// to per-request evaluation, that quota rejections hit only the hot
-/// tenant, and reports per-class latency percentiles.
-pub fn qos_study(requests: usize, seed: u64) -> QosStudy {
-    use problp_engine::{CircuitPool, Priority, ServeConfig, ServeError, ServeRequest, Server};
-    use problp_num::F64Arith;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::{Duration, Instant};
-
-    let (tenants, circuits, evidence_pools) = serving_fixture(seed);
-
-    // ~70% of the trace hammers Alarm on the Interactive lane (the hot
-    // tenant); the rest is Batch-priority background traffic on the
-    // small models.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trace: Vec<ServeRequest> = (0..requests.max(1))
-        .map(|_| {
-            let hot = rng.random_range(0..10u32) < 7;
-            let t = if hot {
-                0
-            } else {
-                1 + rng.random_range(0..2usize)
-            };
-            let (name, net) = &tenants[t];
-            let query = pick_query(&mut rng, net);
-            let pool = &evidence_pools[t];
-            ServeRequest {
-                model: name.clone(),
-                evidence: pool[rng.random_range(0..pool.len())].clone(),
-                query,
-                priority: if hot {
-                    Priority::Interactive
-                } else {
-                    Priority::Batch
-                },
-            }
-        })
-        .collect();
-
-    let mut pool = CircuitPool::new(F64Arith::new());
-    for ((name, _), ac) in tenants.iter().zip(&circuits) {
-        pool.register(name, ac).expect("registers");
-    }
-    // A quota above each background tenant's *total* trace share (~15%
-    // per model) but far below the hot tenant's ~70% flood: only the
-    // hot tenant can ever trip it, regardless of drain timing.
-    let quota = (requests.max(1) / 4).max(8);
-    let server = Server::start(
-        pool,
-        ServeConfig {
-            max_batch: 16,
-            max_wait: Duration::from_micros(300),
-            workers: 2,
-            tenant_quota: quota,
-            priority_aging: Duration::from_millis(2),
-            adaptive_wait: true,
-            ..ServeConfig::default()
-        },
-    );
-
-    // Submit the whole trace up front (the burst that makes the quota
-    // bite), then drain with a deadline so a wedged dispatcher can
-    // never hang the study.
-    let mut quota_rejected = 0usize;
-    let mut hot_tenant_rejected = 0usize;
-    let submitted: Vec<(Instant, Result<_, ServeError>)> = trace
-        .iter()
-        .map(|req| (Instant::now(), server.submit(req.clone())))
-        .collect();
-    let mut outcomes = Vec::with_capacity(submitted.len());
-    let sojourn = problp_telemetry::Histogram::new(problp_telemetry::default_latency_buckets_us());
-    // One shared drain budget: a wedged dispatcher fails the study in
-    // ~30s total, not 30s per ticket.
-    let drain_deadline = Instant::now() + Duration::from_secs(30);
-    for (enqueued, ticket) in submitted {
-        match ticket {
-            Ok(t) => {
-                let (reply, completed) =
-                    t.wait_deadline_timed(drain_deadline.saturating_duration_since(Instant::now()));
-                let waited = completed.saturating_duration_since(enqueued);
-                sojourn.observe_duration(waited);
-                let sojourn_us = waited.as_micros();
-                outcomes.push(Some((reply, sojourn_us)));
-            }
-            Err(ServeError::QuotaExceeded { model, .. }) => {
-                quota_rejected += 1;
-                if model == "alarm" {
-                    hot_tenant_rejected += 1;
-                }
-                outcomes.push(None);
-            }
-            Err(e) => panic!("unexpected admission error: {e}"),
-        }
-    }
-
-    let identical = trace
-        .iter()
-        .zip(&outcomes)
-        .filter(|(req, outcome)| match outcome {
-            Some((reply, _)) => problp_engine::lane_answer_eq(&server.pool().serve_one(req), reply),
-            None => false,
-        })
-        .count();
-
-    let classes = [Priority::Interactive, Priority::Batch]
-        .iter()
-        .map(|class| {
-            let mut latencies: Vec<u128> = trace
-                .iter()
-                .zip(&outcomes)
-                .filter(|(req, o)| req.priority == *class && o.is_some())
-                .map(|(_, o)| o.as_ref().expect("filtered Some").1)
-                .collect();
-            latencies.sort_unstable();
-            QosClassRow {
-                class: class.to_string(),
-                requests: trace.iter().filter(|r| r.priority == *class).count(),
-                admitted: latencies.len(),
-                p50_us: percentile_us(&latencies, 50.0),
-                p99_us: percentile_us(&latencies, 99.0),
-            }
-        })
-        .collect();
-    server.shutdown();
-
-    let admitted = outcomes.iter().filter(|o| o.is_some()).count();
-    QosStudy {
-        requests: trace.len(),
-        quota,
-        admitted,
-        quota_rejected,
-        hot_tenant_rejected,
-        identical,
-        classes,
-        sojourn: sojourn.snapshot(),
-    }
-}
-
-/// Runs [`qos_study`] and renders it as a text table.
-pub fn qos_report(requests: usize, seed: u64) -> String {
-    render_qos_report(&qos_study(requests, seed))
-}
-
-/// Renders an already-run QoS study as a text table (so callers can
-/// reuse the same study for `BENCH_qos.json`).
-pub fn render_qos_report(study: &QosStudy) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "QoS serving policy: {} requests — hot Interactive tenant (alarm) vs Batch background \
-         (asia, sprinkler)\npolicy: tenant_quota {}, priority aging 2ms, adaptive max_wait on\n\n",
-        study.requests, study.quota
-    ));
-    out.push_str(&format!(
-        "{:>12} | {:>8} | {:>8} | {:>9} | {:>9}\n{}\n",
-        "class",
-        "requests",
-        "admitted",
-        "p50 (us)",
-        "p99 (us)",
-        "-".repeat(60)
-    ));
-    let fmt_us = |p: Option<u128>| p.map_or_else(|| "-".to_string(), |us| us.to_string());
-    for c in &study.classes {
-        out.push_str(&format!(
-            "{:>12} | {:>8} | {:>8} | {:>9} | {:>9}\n",
-            c.class,
-            c.requests,
-            c.admitted,
-            fmt_us(c.p50_us),
-            fmt_us(c.p99_us)
-        ));
-    }
-    out.push_str(&format!(
-        "\nquota rejects: {} (all on the hot tenant: {})\n",
-        study.quota_rejected,
-        if study.quota_rejected == study.hot_tenant_rejected {
-            "yes"
-        } else {
-            "NO"
-        }
-    ));
-    out.push_str(&format!(
-        "bit-identical to per-request evaluation: {}/{} admitted\n",
-        study.identical, study.admitted
-    ));
-    out
-}
-
 /// The conformance study: the differential cross-check of
 /// `problp-conformance` over the standing benchmark mix — sprinkler,
 /// asia and student plus two seeded random networks — at `batch` lanes
@@ -2081,39 +1358,44 @@ mod tests {
 
     #[test]
     fn serving_study_is_bit_identical_and_reports() {
-        let study = serving_study(90, SEED);
-        assert_eq!(study.requests, 90);
-        assert_eq!(study.identical, study.requests);
-        assert_eq!(study.models.len(), 3);
-        let report = serving_report(60, SEED);
-        assert!(report.contains("alarm"));
-        assert!(report.contains("bit-identical to per-request evaluation: 60/60"));
+        let report = workload::run(&workload::Scenario::serving(90)).expect("serving runs");
+        assert_eq!(report.requests, 90);
+        assert_eq!(report.identical, report.requests);
+        assert_eq!(report.models.len(), 3);
+        let text = workload::run(&workload::Scenario::serving(60))
+            .expect("serving runs")
+            .render();
+        assert!(text.contains("alarm"));
+        assert!(text.contains("verification: 60/60 answers bit-identical"));
     }
 
     #[test]
     fn qos_study_rejects_only_the_hot_tenant_and_stays_bit_identical() {
-        let study = qos_study(200, SEED);
-        assert_eq!(study.requests, 200);
-        assert_eq!(study.quota, 50);
+        let scenario = workload::Scenario::qos(200);
+        let report = workload::run(&scenario).expect("qos runs");
+        assert_eq!(report.requests, 200);
+        assert_eq!(scenario.config.tenant_quota, 50);
         // Quota pressure comes from the burst-submitted hot tenant —
         // and from it alone (the quota sits above each background
         // tenant's total trace share).
-        assert!(study.quota_rejected > 0, "the hot tenant never hit quota");
-        assert_eq!(study.quota_rejected, study.hot_tenant_rejected);
-        assert_eq!(study.admitted + study.quota_rejected, study.requests);
+        assert!(report.quota_rejected > 0, "the hot tenant never hit quota");
+        assert_eq!(report.quota_rejected, report.models[0].rejected);
+        assert_eq!(report.admitted + report.quota_rejected, report.requests);
         // The policy may reorder and reject, never change an answer.
-        assert_eq!(study.identical, study.admitted);
-        assert_eq!(study.classes.len(), 2);
-        let interactive = &study.classes[0];
-        let batch = &study.classes[1];
-        assert_eq!(interactive.class, "interactive");
-        assert_eq!(batch.class, "batch");
+        assert_eq!(report.identical, report.admitted);
+        assert_eq!(report.classes.len(), 2);
+        let interactive = &report.classes[0];
+        let batch = &report.classes[1];
+        assert_eq!(interactive.class.to_string(), "interactive");
+        assert_eq!(batch.class.to_string(), "batch");
         // Background Batch traffic is never quota-rejected.
         assert_eq!(batch.admitted, batch.requests);
-        let report = qos_report(120, SEED);
-        assert!(report.contains("interactive"));
-        assert!(report.contains("quota rejects"));
-        assert!(report.contains("all on the hot tenant: yes"));
+        let text = workload::run(&workload::Scenario::qos(120))
+            .expect("qos runs")
+            .render();
+        assert!(text.contains("interactive"));
+        assert!(text.contains("quota rejects"));
+        assert!(text.contains("all on the hot tenant: yes"));
     }
 
     #[test]

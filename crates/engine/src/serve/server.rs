@@ -58,9 +58,9 @@ where
 
     /// Like [`Server::start`], but records into a caller-supplied
     /// [`MetricsRegistry`] — the hook for sharing one registry between
-    /// the server, a [`problp_telemetry::Tracer`] and a
-    /// [`problp_telemetry::Sidecar`]. (A separate constructor because
-    /// [`ServeConfig`] is `Copy` and cannot carry an `Arc`.)
+    /// the server and a [`problp_telemetry::Sidecar`]. (A separate
+    /// constructor because [`ServeConfig`] is `Copy` and cannot carry an
+    /// `Arc`.)
     pub fn start_instrumented(
         pool: CircuitPool<A>,
         config: ServeConfig,

@@ -15,7 +15,7 @@ use problp_engine::{
     ServeResponse, Server,
 };
 use problp_num::F64Arith;
-use problp_telemetry::{http_post, http_request, metric_names, JsonValue};
+use problp_telemetry::{http_post, http_request, metric_names, scrape_value, JsonValue};
 
 fn two_model_server(config: ServeConfig) -> Arc<Server<F64Arith>> {
     let mut pool = CircuitPool::new(F64Arith::new());
@@ -377,11 +377,8 @@ fn quota_pressure_is_429_with_retry_after() {
     }
     // And the metrics saw exactly one 429.
     let scrape = server.metrics().render_prometheus();
-    let needle = format!(
-        "{}{{status=\"429\"}} 1",
-        metric_names::GATEWAY_REQUESTS_TOTAL
-    );
-    assert!(scrape.contains(&needle), "missing {needle:?} in scrape");
+    let series = format!("{}{{status=\"429\"}}", metric_names::GATEWAY_REQUESTS_TOTAL);
+    assert_eq!(scrape_value(&scrape, &series), Some(1.0), "{scrape}");
 }
 
 #[test]
@@ -409,23 +406,20 @@ fn statuses_are_counted_and_latency_observed() {
     assert_eq!(code, 400);
 
     let scrape = server.metrics().render_prometheus();
-    for needle in [
+    let status = |code: u16| {
         format!(
-            "{}{{status=\"200\"}} 3",
+            "{}{{status=\"{code}\"}}",
             metric_names::GATEWAY_REQUESTS_TOTAL
-        ),
-        format!(
-            "{}{{status=\"401\"}} 1",
-            metric_names::GATEWAY_REQUESTS_TOTAL
-        ),
-        format!(
-            "{}{{status=\"400\"}} 1",
-            metric_names::GATEWAY_REQUESTS_TOTAL
-        ),
-        format!("{}_count 5", metric_names::GATEWAY_BODY_BYTES),
-        format!("{}_count 5", metric_names::GATEWAY_HANDLER_US),
+        )
+    };
+    for (series, want) in [
+        (status(200), 3.0),
+        (status(401), 1.0),
+        (status(400), 1.0),
+        (format!("{}_count", metric_names::GATEWAY_BODY_BYTES), 5.0),
+        (format!("{}_count", metric_names::GATEWAY_HANDLER_US), 5.0),
     ] {
-        assert!(scrape.contains(&needle), "missing {needle:?} in scrape");
+        assert_eq!(scrape_value(&scrape, &series), Some(want), "{series}");
     }
 }
 

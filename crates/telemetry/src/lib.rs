@@ -3,11 +3,10 @@
 //! Everything the serving stack exports about itself flows through this
 //! crate: a [`MetricsRegistry`] of atomic counters, gauges and
 //! fixed-bucket histograms (lock-free hot path, Prometheus text
-//! rendering), span tracing ([`Tracer`] / [`Span`]) with a ring buffer
-//! of recent slow traces, a hand-rolled JSON value type
-//! ([`JsonValue`]) for `/statz` and `BENCH_*.json`, and a minimal
-//! HTTP/1.1 [`Sidecar`] serving `/metrics`, `/healthz` and `/statz` on
-//! `std::net::TcpListener`.
+//! rendering, [`scrape_value`] to read one series back), a hand-rolled
+//! JSON value type ([`JsonValue`]) for `/statz` and `BENCH_*.json`, and
+//! a minimal HTTP/1.1 [`Sidecar`] serving `/metrics`, `/healthz` and
+//! `/statz` on `std::net::TcpListener`.
 //!
 //! The crate deliberately has **zero dependencies** (std only) so it
 //! slots into the offline, vendor-shimmed workspace and can be pulled
@@ -48,7 +47,6 @@ pub mod httpd;
 pub mod json;
 pub mod registry;
 pub mod sidecar;
-pub mod trace;
 
 pub use httpd::{
     drain_rejected, http_post, http_request, read_request, read_response, status_reason,
@@ -56,11 +54,10 @@ pub use httpd::{
 };
 pub use json::{JsonError, JsonValue};
 pub use registry::{
-    default_latency_buckets_us, default_size_buckets, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry,
+    default_latency_buckets_us, default_size_buckets, scrape_value, Counter, Gauge, Histogram,
+    HistogramSnapshot, MetricsRegistry,
 };
 pub use sidecar::{http_get, HealthFn, HealthStatus, Sidecar};
-pub use trace::{SlowTrace, Span, Tracer, SLOW_RING_CAPACITY};
 
 /// The serve-pipeline metric catalog: one documented constant per
 /// exported metric name, so instrumentation sites and tests never
@@ -128,9 +125,6 @@ pub mod metric_names {
     /// Counter, label `flag` ∈ {`overflow`, `underflow`, `inexact`,
     /// `invalid`}: groups whose evaluation raised the sticky flag.
     pub const ENGINE_FLAG_RAISES_TOTAL: &str = "problp_engine_flag_raises_total";
-    /// Histogram, label `stage`: per-stage elapsed time recorded by
-    /// [`crate::Tracer`] spans, microseconds.
-    pub const STAGE_ELAPSED_US: &str = "problp_stage_elapsed_us";
     /// Counter: static verifier / range-analysis passes run (one per
     /// tape × format analyzed).
     pub const VERIFY_RUNS_TOTAL: &str = "problp_verify_runs_total";
@@ -298,30 +292,24 @@ req_us_count 3
     }
 
     #[test]
-    fn tracer_records_spans_and_retains_slow_ones() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Tracer::new(Arc::clone(&registry), Duration::ZERO);
-        {
-            let _span = tracer.span("dispatch");
-        }
-        {
-            let _span = tracer.span("dispatch");
-        }
-        let text = registry.render_prometheus();
-        assert!(text.contains("problp_stage_elapsed_us_count{stage=\"dispatch\"} 2"));
-        let slow = tracer.recent_slow();
-        assert_eq!(slow.len(), 2);
-        assert_eq!(slow[0].stage, "dispatch");
-    }
-
-    #[test]
-    fn tracer_slow_ring_is_bounded() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Tracer::new(registry, Duration::ZERO);
-        for _ in 0..SLOW_RING_CAPACITY + 5 {
-            let _span = tracer.span("s");
-        }
-        assert_eq!(tracer.recent_slow().len(), SLOW_RING_CAPACITY);
+    fn scrape_value_compares_whole_lines() {
+        let registry = MetricsRegistry::new();
+        registry
+            .counter_with("req_total", &[("status", "200")], "responses")
+            .add(120);
+        let scrape = registry.render_prometheus();
+        // A substring match would take the rendered 120 for an expected 12.
+        assert!(scrape.contains("req_total{status=\"200\"} 12"));
+        assert_eq!(
+            scrape_value(&scrape, "req_total{status=\"200\"}"),
+            Some(120.0)
+        );
+        assert_ne!(
+            scrape_value(&scrape, "req_total{status=\"200\"}"),
+            Some(12.0)
+        );
+        assert_eq!(scrape_value(&scrape, "req_total{status=\"20\"}"), None);
+        assert_eq!(scrape_value(&scrape, "req_total"), None);
     }
 
     #[test]

@@ -551,6 +551,17 @@ impl MetricsRegistry {
     }
 }
 
+/// The value of the series named exactly `series` (metric name plus
+/// its rendered label block, e.g. `name{status="200"}`) in a Prometheus
+/// text scrape, or `None` when no sample line carries it. Whole lines
+/// are compared, so an expected `12` never matches a rendered `120`.
+pub fn scrape_value(scrape: &str, series: &str) -> Option<f64> {
+    scrape.lines().find_map(|line| match line.rsplit_once(' ') {
+        Some((name, value)) if name == series => value.parse().ok(),
+        _ => None,
+    })
+}
+
 fn labels_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
     have.len() == want.len()
         && have

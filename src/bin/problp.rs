@@ -13,8 +13,12 @@
 //! problp serve-sim  --models sprinkler,asia [--requests 512] [--max-batch 32]
 //!                   [--max-wait-us 500] [--workers 4] [--seed 7]
 //!                   [--tenant-quota 0] [--batch-share 0] [--aging-us 20000]
-//!                   [--adaptive-wait] [--metrics-addr 127.0.0.1:0]
-//!                   [--linger-ms 0] [--bench-json FILE]
+//!                   [--adaptive-wait] [--cache-capacity 0] [--reload-mid-trace]
+//!                   [--metrics-addr 127.0.0.1:0] [--linger-ms 0] [--bench-json FILE]
+//! problp serve-http --models sprinkler,asia [--addr 127.0.0.1:0]
+//!                   [--tokens TOK=MODEL,...] [--http-workers 4] [--self-drive N]
+//!                   (plus serve-sim's --max-batch ... --cache-capacity, --seed,
+//!                    --metrics-addr, --linger-ms and --bench-json)
 //! problp conformance [--models alarm,asia] [--random 2] [--batch 256]
 //!                   [--seed 7] [--repr f64,fixed:2.14,float:8.13]
 //!                   [--inject-fault scalar|tape|tape-full|fused-compact|
@@ -33,34 +37,27 @@
 //! selects the engine's evaluator core: the fused superinstruction
 //! stream the serving pool runs (the default) or the scalar reference
 //! walk (bit-identical; see `problp::engine::KernelKind`).
-//! `accuracy` runs
-//! the engine-served per-precision classifier accuracy study of
-//! `problp::bench` on the synthetic sensing datasets. `serve-sim`
-//! replays a seeded mixed-tenant request trace through the sharded
-//! multi-circuit serving layer (`problp::engine::serve`: a
-//! `CircuitPool` behind an admission queue and dispatcher shards),
-//! verifies every admitted answer bit-identical against per-request
-//! evaluation, and reports per-priority-class latency percentiles,
-//! quota-reject counts and the batched-vs-scalar speedup. The QoS
-//! policy knobs mirror `ServeConfig`: `--tenant-quota` caps each
-//! model's queued + in-flight lanes (0 = off), `--batch-share` routes
-//! that percentage of the trace to the `Batch` priority lane,
-//! `--aging-us` is the anti-starvation promotion bound, and
-//! `--adaptive-wait` shrinks the coalescing wait of hot streams.
+//! `accuracy` runs the engine-served per-precision classifier accuracy
+//! study of `problp::bench` on the synthetic sensing datasets.
 //! `--models` takes built-in network names
 //! (`figure1|sprinkler|asia|student|earthquake|cancer|alarm`) or `.bn`
 //! paths, comma-separated.
 //!
-//! With `--metrics-addr HOST:PORT` (port 0 picks a free port),
-//! `serve-sim` also starts the `problp::telemetry` observability
-//! sidecar on that address — `/metrics` (Prometheus text),
-//! `/healthz`, `/statz` (JSON) — backed by the server's live metric
-//! registry, scrapes it once itself mid-trace as a self-check, and
-//! prints the bound address so external scrapers can follow.
-//! `--linger-ms N` keeps the sidecar (and the server) up for N extra
-//! milliseconds after the trace completes, and `--bench-json FILE`
-//! writes the run's machine-readable `problp-bench/v1` perf record
-//! (validated by `reproduce check-bench`).
+//! `serve-sim` and `serve-http` parse their flags into one workload
+//! scenario (`problp::bench::workload::Scenario`) and run it with the
+//! one workload driver, which checks every answer bit-identical to the
+//! pool's uncached `serve_one` and the tree-walk, and the server's books
+//! against its own ledger; any failed check exits non-zero. `serve-sim`
+//! submits a seeded mixed-tenant trace in process under the QoS flags
+//! (`--batch-share` routes that percentage to the `Batch` lane); with
+//! `--cache-capacity` a second round replays the served requests, which
+//! must all hit. `serve-http` hosts the models behind the HTTP query
+//! gateway; `--self-drive N` sends an N-request trace through it,
+//! without it the gateway serves until killed (or for `--linger-ms`).
+//! `--metrics-addr` starts the `/metrics` + `/healthz` sidecar, which the
+//! run scrapes mid-trace and at the end; `--linger-ms` keeps the stack
+//! up after the trace, and `--bench-json FILE` writes the run's
+//! `problp-bench/v1` record (validated by `reproduce check-bench`).
 //!
 //! `conformance` runs the differential cross-check of
 //! `problp::conformance`: the same seeded evidence batch is evaluated on
@@ -95,6 +92,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use problp::ac::transform::binarize;
+use problp::bench::workload::{Scenario, Stack};
 use problp::prelude::*;
 
 struct RunArgs {
@@ -189,7 +187,7 @@ fn main() -> ExitCode {
     let mut workers = 4usize;
     let mut seed = 7u64;
     let mut tenant_quota = 0usize;
-    let mut batch_share = 0u64;
+    let mut batch_share = 0u32;
     let mut aging_us = 20_000u64;
     let mut adaptive_wait = false;
     let mut cache_capacity = 0usize;
@@ -254,7 +252,7 @@ fn main() -> ExitCode {
                 tenant_quota = n;
             }
             "--batch-share" => {
-                let Some(n) = it.next().and_then(|s| s.parse::<u64>().ok()) else {
+                let Some(n) = it.next().and_then(|s| s.parse::<u32>().ok()) else {
                     return usage();
                 };
                 if n > 100 {
@@ -403,61 +401,83 @@ fn main() -> ExitCode {
         }
     }
 
-    // `serve-sim` hosts many models at once; it has its own loading
-    // path (built-in names or .bn files) instead of `--network`.
-    if command == "serve-sim" {
-        let Some(models) = models else {
-            return usage();
-        };
-        let sim = ServeSimArgs {
-            models,
-            requests,
-            max_batch,
-            max_wait_us,
-            workers,
-            seed,
-            tenant_quota,
-            batch_share,
-            aging_us,
-            adaptive_wait,
-            cache_capacity,
-            reload_mid_trace,
-            metrics_addr,
-            linger_ms,
-            bench_json,
-        };
-        return match serve_sim(&sim) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
+    // `serve-sim` and `serve-http` host many models at once (built-in
+    // names or .bn files) and run them as a workload scenario.
+    if command == "serve-sim" || command == "serve-http" {
+        use problp::bench::workload::{Scenario, Shape, Transport};
+        use problp::engine::{GatewayConfig, ServeConfig};
+        use std::time::Duration;
 
-    // `serve-http` puts the query gateway in front of the same pooled
-    // serving stack; it shares serve-sim's model loading.
-    if command == "serve-http" {
         let Some(models) = models else {
             return usage();
         };
-        let http = ServeHttpArgs {
-            models,
-            addr,
-            tokens,
-            http_workers,
-            max_batch,
-            max_wait_us,
-            workers,
-            seed,
-            tenant_quota,
-            cache_capacity,
-            self_drive,
-            metrics_addr,
-            linger_ms,
-            bench_json,
-        };
-        return match serve_http(&http) {
+        let sim = command == "serve-sim";
+        let scenario = load_models(&models, seed).and_then(|models| {
+            if sim && models.len() < 2 {
+                return Err("serve-sim needs at least two models (--models a,b)".to_string());
+            }
+            let config = ServeConfig {
+                max_batch: max_batch.max(1),
+                max_wait: Duration::from_micros(max_wait_us),
+                workers: workers.max(1),
+                tenant_quota,
+                cache_capacity,
+                ..ServeConfig::default()
+            };
+            let sim_scenario = Scenario {
+                name: "serve_sim".to_string(),
+                models,
+                requests,
+                seed,
+                shape: Shape::Mixed { batch_share },
+                // With the cache on, one replay round resubmits the
+                // served requests, which must all hit.
+                rounds: if cache_capacity > 0 { 2 } else { 1 },
+                reload_mid_trace,
+                cold_pass: false,
+                config: ServeConfig {
+                    priority_aging: Duration::from_micros(aging_us),
+                    adaptive_wait,
+                    ..config
+                },
+                transport: Transport::InProcess,
+                metrics_addr,
+            };
+            if sim {
+                return Ok(sim_scenario);
+            }
+            // `--tokens TOK=MODEL[,TOK=MODEL...]`: the gateway's auth table.
+            let tokens = tokens
+                .iter()
+                .flat_map(|spec| spec.split(','))
+                .filter(|entry| !entry.is_empty())
+                .map(|entry| {
+                    let pair = entry.trim().split_once('=');
+                    let pair = pair.map(|(tok, model)| (tok.to_string(), model.to_string()));
+                    pair.ok_or_else(|| format!("--tokens entry {entry:?} is not TOK=MODEL"))
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(Scenario {
+                name: "gateway".to_string(),
+                requests: self_drive.unwrap_or(0),
+                shape: Shape::Mixed { batch_share: 25 },
+                rounds: 1,
+                reload_mid_trace: false,
+                config,
+                transport: Transport::Http(GatewayConfig {
+                    addr,
+                    tokens,
+                    http_workers: http_workers.max(1),
+                    ..GatewayConfig::default()
+                }),
+                ..sim_scenario
+            })
+        });
+        let drive = sim || self_drive.is_some();
+        let served = scenario
+            .map_err(Into::into)
+            .and_then(|scenario| serve(&scenario, drive, linger_ms, bench_json.as_deref()));
+        return match served {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -628,20 +648,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs `f` repeatedly for at least ~0.3 s and returns its rate in units
-/// of `per_call` outputs per second.
-fn rate_of(mut f: impl FnMut(), per_call: usize) -> f64 {
-    use std::time::Instant;
-    f();
-    let start = Instant::now();
-    let mut calls = 0u64;
-    while start.elapsed().as_secs_f64() < 0.3 {
-        f();
-        calls += 1;
-    }
-    calls as f64 * per_call as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Measures bulk-inference throughput of the circuit — the scalar
 /// tree-walk versus the batched execution engine — over `batch` evidence
 /// instances cycling through the single-variable observations, for the
@@ -659,6 +665,7 @@ fn throughput(
     threads: usize,
     kernel: problp::engine::KernelKind,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    use problp::bench::rate_of;
     use problp::engine::Engine;
 
     let var_count = circuit.var_count();
@@ -787,57 +794,6 @@ fn throughput(
     Ok(())
 }
 
-struct ServeSimArgs {
-    /// Comma-separated built-in network names or `.bn` paths.
-    models: String,
-    requests: usize,
-    max_batch: usize,
-    max_wait_us: u64,
-    workers: usize,
-    seed: u64,
-    /// Per-model cap on queued + in-flight lanes (0 = no quota).
-    tenant_quota: usize,
-    /// Percentage of the trace routed to the `Batch` priority lane.
-    batch_share: u64,
-    /// Anti-starvation promotion bound of the priority lanes, µs.
-    aging_us: u64,
-    /// Shrink the coalescing wait of hot streams (EWMA-driven).
-    adaptive_wait: bool,
-    /// Exact answer-cache capacity in entries (0 = cache off).
-    cache_capacity: usize,
-    /// Hot-swap the first model halfway through the trace
-    /// ([`Server::reload`]): recompiles the same graph, so answers stay
-    /// bit-identical while the version bumps and the cut-over runs.
-    reload_mid_trace: bool,
-    /// Bind the `/metrics` + `/healthz` sidecar here (port 0 = any).
-    metrics_addr: Option<String>,
-    /// Keep the sidecar and server alive this long after the trace.
-    linger_ms: u64,
-    /// Write the run's `problp-bench/v1` perf record here.
-    bench_json: Option<PathBuf>,
-}
-
-/// A tiny deterministic xorshift64* stream — the trace mixer (the CLI
-/// binary carries no RNG dependency).
-struct TraceRng(u64);
-
-impl TraceRng {
-    fn new(seed: u64) -> Self {
-        TraceRng(seed.wrapping_mul(2685821657736338717).max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(2685821657736338717)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
 /// Resolves a whole comma-separated `--models` list, rejecting duplicate
 /// names up front (both `serve-sim`'s pool and the conformance report
 /// are keyed by name, so a collision would silently merge two tenants).
@@ -882,1166 +838,51 @@ fn load_model(spec: &str, seed: u64) -> Result<(String, BayesNet), String> {
     Ok((name, net))
 }
 
-use problp::bench::percentile_us as percentile;
-
-/// Renders an `Option<u128>` microseconds percentile for the latency
-/// lines (`-` when the lane is empty).
-fn fmt_us(p: Option<u128>) -> String {
-    p.map_or_else(|| "-".to_string(), |us| us.to_string())
-}
-
-/// The scalar (per-request, tree-walk) answer a served response must
-/// reproduce bit for bit, plus its prediction for conditionals.
-enum ScalarReply {
-    Marginal(f64),
-    Mpe(f64),
-    Conditional {
-        posteriors: Vec<f64>,
-        prediction: usize,
-    },
-    Impossible,
-}
-
-/// Replays a mixed-tenant trace through the sharded serving layer
-/// (`problp::engine::serve`) under the configured QoS policy, checks
-/// every admitted answer bit-identical to per-request evaluation, and
-/// reports per-class latency percentiles, quota rejects and the
-/// batched-vs-scalar speedup.
-fn serve_sim(args: &ServeSimArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use problp::engine::{
-        CircuitPool, Priority, ServeConfig, ServeError, ServeRequest, ServeResponse, Server,
-    };
-    use problp::telemetry::{http_get, metric_names, MetricsRegistry, Sidecar};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let mut tenants: Vec<(String, BayesNet, AcGraph)> = Vec::new();
-    for (name, net) in load_models(&args.models, args.seed)? {
-        let ac = compile(&net)?;
-        tenants.push((name, net, ac));
-    }
-    if tenants.len() < 2 {
-        return Err("serve-sim needs at least two models (--models a,b)".into());
-    }
-
-    // The seeded mixed-tenant trace: random model, random query kind,
-    // random instance from the model's canonical evidence pool.
-    let pools: Vec<Vec<Evidence>> = tenants
-        .iter()
-        .map(|(_, _, ac)| problp::bayes::single_variable_evidences(ac.var_arities()))
-        .collect();
-    let mut rng = TraceRng::new(args.seed);
-    let trace: Vec<(usize, ServeRequest)> = (0..args.requests.max(1))
-        .map(|_| {
-            let t = rng.below(tenants.len());
-            let (name, net, _) = &tenants[t];
-            let query = match rng.below(3) {
-                0 => BatchQuery::Marginal,
-                1 => BatchQuery::Mpe,
-                _ => BatchQuery::Conditional {
-                    query_var: net.roots().first().copied().unwrap_or(VarId::from_index(0)),
-                },
-            };
-            let evidence = pools[t][rng.below(pools[t].len())].clone();
-            let priority = if (rng.below(100) as u64) < args.batch_share {
-                Priority::Batch
-            } else {
-                Priority::Interactive
-            };
-            (
-                t,
-                ServeRequest {
-                    model: name.clone(),
-                    evidence,
-                    query,
-                    priority,
-                },
-            )
-        })
-        .collect();
-
-    println!(
-        "serve-sim: {} models, {} requests (seed {})",
-        tenants.len(),
-        trace.len(),
-        args.seed
-    );
-    for (name, net, _) in &tenants {
-        let share = trace.iter().filter(|(_, r)| &r.model == name).count();
-        println!(
-            "  model {name}: {} variables, {share} requests",
-            net.var_count()
-        );
-    }
-    println!(
-        "  policy: max_batch {}, max_wait {}us, workers {}, engine threads 1",
-        args.max_batch, args.max_wait_us, args.workers
-    );
-    println!(
-        "  qos: tenant_quota {} ({}), batch share {}%, aging {}us, adaptive wait {}",
-        args.tenant_quota,
-        if args.tenant_quota == 0 { "off" } else { "on" },
-        args.batch_share,
-        args.aging_us,
-        if args.adaptive_wait { "on" } else { "off" }
-    );
-    println!(
-        "  cache: capacity {} ({}), mid-trace reload {}",
-        args.cache_capacity,
-        if args.cache_capacity == 0 {
-            "off"
-        } else {
-            "on"
-        },
-        if args.reload_mid_trace { "on" } else { "off" }
-    );
-
-    // Scalar replay: every request answered alone by the per-instance
-    // tree-walk (the paper's software baseline) — also the bit-identity
-    // reference for the pooled answers. Per-request timings let the
-    // speedup compare like with like when a quota rejects part of the
-    // trace.
-    let scalar_start = Instant::now();
-    let scalar: Vec<(ScalarReply, Duration)> = trace
-        .iter()
-        .map(|(t, req)| {
-            let req_start = Instant::now();
-            let ac = &tenants[*t].2;
-            let e = &req.evidence;
-            let reply = match req.query {
-                BatchQuery::Marginal => Ok(ScalarReply::Marginal(ac.evaluate(e)?)),
-                BatchQuery::Mpe => {
-                    let (_, value) = ac.mpe_assignment(e)?;
-                    Ok(ScalarReply::Mpe(value))
-                }
-                BatchQuery::Conditional { query_var } => {
-                    let den = ac.evaluate(e)?;
-                    if den == 0.0 {
-                        return Ok((ScalarReply::Impossible, req_start.elapsed()));
-                    }
-                    let states = ac.var_arities()[query_var.index()];
-                    let mut posteriors = Vec::with_capacity(states);
-                    let mut prediction = 0usize;
-                    let mut best = f64::NEG_INFINITY;
-                    for s in 0..states {
-                        let mut with_q = e.clone();
-                        with_q.observe(query_var, s);
-                        let num = ac.evaluate(&with_q)?;
-                        posteriors.push(num / den);
-                        if num > best {
-                            best = num;
-                            prediction = s;
-                        }
-                    }
-                    Ok(ScalarReply::Conditional {
-                        posteriors,
-                        prediction,
-                    })
-                }
-            };
-            reply.map(|r| (r, req_start.elapsed()))
-        })
-        .collect::<Result<_, problp::ac::AcError>>()?;
-    let scalar_total = scalar_start.elapsed();
-
-    // Pooled serving: admission queue + dispatcher shards over the
-    // multi-model CircuitPool.
-    let mut pool = CircuitPool::new(F64Arith::new());
-    for (name, _, ac) in &tenants {
-        pool.register(name, ac)?;
-    }
-    let registry = Arc::new(MetricsRegistry::new());
-    let server = Server::start_instrumented(
-        pool,
-        ServeConfig {
-            max_batch: args.max_batch.max(1),
-            max_wait: Duration::from_micros(args.max_wait_us),
-            workers: args.workers.max(1),
-            tenant_quota: args.tenant_quota,
-            priority_aging: Duration::from_micros(args.aging_us),
-            adaptive_wait: args.adaptive_wait,
-            cache_capacity: args.cache_capacity,
-        },
-        Arc::clone(&registry),
-    );
-    // The observability sidecar scrapes the same registry the server
-    // writes to; port 0 picks a free port, printed for external
-    // scrapers (and the CI smoke test).
-    let sidecar = match &args.metrics_addr {
-        Some(addr) => {
-            let s = Sidecar::start(addr, Arc::clone(&registry), server.health_fn())
-                .map_err(|e| format!("cannot bind metrics sidecar on {addr}: {e}"))?;
-            println!("  metrics sidecar: http://{}/metrics", s.local_addr());
-            Some(s)
-        }
-        None => None,
-    };
-    let served_start = Instant::now();
-    // With --reload-mid-trace, the first model is hot-swapped while the
-    // first half of the trace is still in flight: admissions after this
-    // point run on tape version 2 (recompiled from the same graph, so
-    // every bit-identity check below still holds), in-flight work stays
-    // pinned to version 1, and nothing is drained for the cut-over.
-    let reload_at = if args.reload_mid_trace {
-        Some(trace.len() / 2)
-    } else {
-        None
-    };
-    let mut submitted = Vec::with_capacity(trace.len());
-    for (i, (_, req)) in trace.iter().enumerate() {
-        if Some(i) == reload_at {
-            let (name, _, ac) = &tenants[0];
-            let version = server.reload(name, ac)?;
-            println!("  mid-trace reload: model {name} cut over to version {version}");
-        }
-        submitted.push((Instant::now(), server.submit(req.clone())));
-    }
-    // Self-check while the trace is in flight: the sidecar must report
-    // healthy (workers alive, not shut down) mid-run.
-    if let Some(s) = &sidecar {
-        let (status, body) = http_get(&s.local_addr(), "/healthz")
-            .map_err(|e| format!("mid-trace /healthz scrape failed: {e}"))?;
-        if status != 200 {
-            return Err(format!("mid-trace /healthz returned {status}: {}", body.trim()).into());
-        }
-        println!("  mid-trace /healthz: {status} ok");
-    }
-    let mut quota_rejects = 0usize;
-    let sojourn =
-        problp::telemetry::Histogram::new(problp::telemetry::default_latency_buckets_us());
-    let mut latencies_us: Vec<(Priority, u128)> = Vec::with_capacity(submitted.len());
-    // One slot per trace entry: `None` marks a quota-rejected request
-    // (a policy outcome, excluded from the bit-identity denominator).
-    let mut served: Vec<Option<problp::engine::LaneResult<f64>>> =
-        Vec::with_capacity(submitted.len());
-    // One shared drain budget: a wedged dispatcher fails the sim in
-    // ~30s total, not 30s per ticket.
-    let drain_deadline = Instant::now() + Duration::from_secs(30);
-    for ((enqueued, ticket), (_, req)) in submitted.into_iter().zip(&trace) {
-        // Latency is submit → dispatcher completion (the timestamp the
-        // ticket carries), not submit → whenever this drain loop gets
-        // around to the ticket. The deadline means a wedged dispatcher
-        // fails the sim instead of hanging it.
-        match ticket {
-            Ok(t) => {
-                let (reply, completed) =
-                    t.wait_deadline_timed(drain_deadline.saturating_duration_since(Instant::now()));
-                let waited = completed.saturating_duration_since(enqueued);
-                sojourn.observe_duration(waited);
-                latencies_us.push((req.priority, waited.as_micros()));
-                served.push(Some(reply));
-            }
-            Err(ServeError::QuotaExceeded { .. }) => {
-                quota_rejects += 1;
-                served.push(None);
-            }
-            Err(e) => return Err(format!("admission failed: {e}").into()),
-        }
-    }
-    let served_total = served_start.elapsed();
-
-    // Bit-identity: the coalesced answer must reproduce the scalar reply
-    // exactly — value bits, posterior bits, predictions — and the typed
-    // impossible-evidence lanes must line up.
-    let mut mismatches = 0usize;
-    for (i, ((t, req), (outcome, (want, _)))) in
-        trace.iter().zip(served.iter().zip(&scalar)).enumerate()
-    {
-        let Some(reply) = outcome else {
-            continue; // quota-rejected at admission, counted above
-        };
-        let ac = &tenants[*t].2;
-        let ok = match (reply, want) {
-            (Ok(ServeResponse::Marginal { value, .. }), ScalarReply::Marginal(w)) => {
-                value.to_bits() == w.to_bits()
-            }
-            (
-                Ok(ServeResponse::Mpe {
-                    value, assignment, ..
-                }),
-                ScalarReply::Mpe(w),
-            ) => {
-                // The decoded assignment must achieve the max-product
-                // value exactly (ties may pick a different argmax than
-                // the scalar decoder, but never a different value) and
-                // respect the request's evidence.
-                value.to_bits() == w.to_bits()
-                    && assignment.len() == req.evidence.len()
-                    && ac
-                        .evaluate(&Evidence::from_assignment(assignment))
-                        .is_ok_and(|joint| joint.to_bits() == w.to_bits())
-                    && req
-                        .evidence
-                        .iter()
-                        .all(|(var, s)| assignment[var.index()] == s)
-            }
-            (
-                Ok(ServeResponse::Conditional {
-                    posteriors,
-                    prediction,
-                    ..
-                }),
-                ScalarReply::Conditional {
-                    posteriors: wp,
-                    prediction: wpred,
-                },
-            ) => {
-                prediction == wpred
-                    && posteriors.len() == wp.len()
-                    && posteriors
-                        .iter()
-                        .zip(wp)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            }
-            (Err(problp::engine::ServeError::ImpossibleEvidence), ScalarReply::Impossible) => true,
-            _ => false,
-        };
-        // The pooled answer must also match the same request served
-        // alone through the pool (coalescing-independence; flags are
-        // batch-scope, so the payload comparison is the right one).
-        let alone = server.pool().serve_one(req);
-        if !ok || !problp::engine::lane_answer_eq(&alone, reply) {
-            mismatches += 1;
-            if mismatches <= 3 {
-                eprintln!("mismatch at request {i}: {req:?}");
-            }
-        }
-    }
-    // The server's own counters must agree with the CLI's bookkeeping:
-    // the stats snapshot is the authoritative record (the sidecar and
-    // tests read the same atomics), the local counts are the check.
-    let stats = server.stats();
-    if stats.requests != trace.len() as u64 {
-        return Err(format!(
-            "server counted {} requests, the trace submitted {}",
-            stats.requests,
-            trace.len()
-        )
-        .into());
-    }
-    if stats.rejected_quota != quota_rejects as u64 {
-        return Err(format!(
-            "server counted {} quota rejects, admission returned {quota_rejects}",
-            stats.rejected_quota
-        )
-        .into());
-    }
-    // Cache accounting: with the cache on, every well-formed submission
-    // either hit or missed (hits bypass the quota; quota rejects still
-    // count a miss first), so the two counters partition the trace.
-    let expected_lookups = if args.cache_capacity > 0 {
-        trace.len() as u64
-    } else {
-        0
-    };
-    if stats.cache_hits + stats.cache_misses != expected_lookups {
-        return Err(format!(
-            "cache books off: {} hits + {} misses != {expected_lookups} lookups",
-            stats.cache_hits, stats.cache_misses
-        )
-        .into());
-    }
-
-    let admitted = trace.len() - quota_rejects;
-    println!(
-        "\n  verification: {}/{} admitted answers bit-identical to per-request evaluation",
-        admitted - mismatches,
-        admitted
-    );
-    if args.tenant_quota > 0 {
-        println!(
-            "  quota rejects: {quota_rejects}/{} (tenant_quota {})",
-            trace.len(),
-            args.tenant_quota
-        );
-    }
-    println!(
-        "  server stats: {} admitted, {} dispatches, queue-depth high water {}, {} workers live",
-        stats.admitted, stats.dispatches, stats.queue_depth_high_water, stats.live_workers
-    );
-    // Overall sojourn percentiles, then per priority class when the
-    // trace actually mixes classes.
-    let mut all: Vec<u128> = latencies_us.iter().map(|(_, us)| *us).collect();
-    all.sort_unstable();
-    println!(
-        "  latency (sojourn): p50 {}us  p90 {}us  p99 {}us  max {}us",
-        fmt_us(percentile(&all, 50.0)),
-        fmt_us(percentile(&all, 90.0)),
-        fmt_us(percentile(&all, 99.0)),
-        all.last().copied().unwrap_or(0)
-    );
-    for class in [Priority::Interactive, Priority::Batch] {
-        let mut lane: Vec<u128> = latencies_us
-            .iter()
-            .filter(|(p, _)| *p == class)
-            .map(|(_, us)| *us)
-            .collect();
-        if lane.is_empty() || lane.len() == all.len() {
-            continue; // single-class trace: the overall line covers it
-        }
-        lane.sort_unstable();
-        println!(
-            "  latency ({class}): p50 {}us  p90 {}us  p99 {}us  max {}us  ({} requests)",
-            fmt_us(percentile(&lane, 50.0)),
-            fmt_us(percentile(&lane, 90.0)),
-            fmt_us(percentile(&lane, 99.0)),
-            lane.last().copied().unwrap_or(0),
-            lane.len()
-        );
-    }
-    let n = trace.len() as f64;
-    println!(
-        "  scalar replay:   {:>9.2} ms total  ({:>10.0} req/s)",
-        scalar_total.as_secs_f64() * 1e3,
-        n / scalar_total.as_secs_f64()
-    );
-    println!(
-        "  pooled serving:  {:>9.2} ms total  ({:>10.0} req/s over {admitted} admitted)",
-        served_total.as_secs_f64() * 1e3,
-        admitted as f64 / served_total.as_secs_f64()
-    );
-    // Like for like: the scalar side of the speedup only counts the
-    // requests the pooled side actually served (quota rejects are
-    // work the scalar baseline would also not have done).
-    let scalar_admitted: Duration = served
-        .iter()
-        .zip(&scalar)
-        .filter(|(outcome, _)| outcome.is_some())
-        .map(|(_, (_, d))| *d)
-        .sum();
-    println!(
-        "  speedup: {:.2}x{}",
-        scalar_admitted.as_secs_f64() / served_total.as_secs_f64(),
-        if quota_rejects > 0 {
-            " (over the admitted requests)"
-        } else {
-            ""
-        }
-    );
-    if mismatches > 0 {
-        return Err(format!("{mismatches} served answers diverged from scalar replay").into());
-    }
-    if quota_rejects > 0 && args.tenant_quota == 0 {
-        return Err("quota rejects without a configured quota".into());
-    }
-
-    // Cache study: resubmit a slice of already-served requests. Every
-    // replay must come back bit-identical to the first pass, and with a
-    // cache big enough that nothing was evicted, every one must be a
-    // hit. After a mid-trace reload only post-reload requests replay —
-    // the swap invalidated the old version's entries by design.
-    let mut replay_submissions = 0usize;
-    if args.cache_capacity > 0 {
-        let before = server.stats();
-        let replay: Vec<usize> = served
-            .iter()
-            .enumerate()
-            .filter(|(i, outcome)| outcome.is_some() && reload_at.is_none_or(|at| *i >= at))
-            .map(|(i, _)| i)
-            .collect();
-        let replay = &replay[replay.len().saturating_sub(32)..];
-        replay_submissions = replay.len();
-        let replay_deadline = Instant::now() + Duration::from_secs(30);
-        let mut replayed = 0usize;
-        for &i in replay {
-            let req = &trace[i].1;
-            let ticket = match server.submit(req.clone()) {
-                Ok(t) => t,
-                // A miss (small cache) can still bounce off the quota;
-                // that is the quota doing its job, not a cache bug.
-                Err(ServeError::QuotaExceeded { .. }) => continue,
-                Err(e) => return Err(format!("replay admission failed: {e}").into()),
-            };
-            let reply =
-                ticket.wait_deadline(replay_deadline.saturating_duration_since(Instant::now()));
-            replayed += 1;
-            let first = served[i].as_ref().expect("replay set is served");
-            if !problp::engine::lane_answer_eq(first, &reply) {
-                return Err(format!("cache replay diverged at request {i}").into());
-            }
-        }
-        let after = server.stats();
-        let hits = after.cache_hits - before.cache_hits;
-        println!(
-            "  cache replay: {replayed} resubmissions, {hits} hits \
-             ({} hits / {} misses / {} evictions overall)",
-            after.cache_hits, after.cache_misses, after.cache_evictions
-        );
-        if args.cache_capacity >= admitted && hits != replayed as u64 {
-            return Err(format!(
-                "expected all {replayed} replays to hit an unevicted cache, got {hits}"
-            )
-            .into());
-        }
-    }
-    let stats = server.stats();
-    let versions: Vec<String> = stats
-        .model_versions
-        .iter()
-        .map(|(m, v)| format!("{m}=v{v}"))
-        .collect();
-    println!("  model versions: {}", versions.join("  "));
-    if args.reload_mid_trace {
-        let (name0, _, _) = &tenants[0];
-        let v0 = stats
-            .model_versions
-            .iter()
-            .find(|(m, _)| m == name0)
-            .map(|(_, v)| *v);
-        if v0 != Some(2) {
-            return Err(format!(
-                "model {name0} should be at version 2 after the reload, stats say {v0:?}"
-            )
-            .into());
-        }
-    }
-
-    // Final self-scrape: the Prometheus rendering must carry the series
-    // the run produced — the request counter at the trace size, the
-    // queue-depth gauge and the typed reject counters.
-    if let Some(s) = &sidecar {
-        let (status, body) = http_get(&s.local_addr(), "/metrics")
-            .map_err(|e| format!("/metrics scrape failed: {e}"))?;
-        if status != 200 {
-            return Err(format!("/metrics returned {status}").into());
-        }
-        let want_counter = format!(
-            "{} {}",
-            metric_names::SERVE_REQUESTS_TOTAL,
-            trace.len() + replay_submissions
-        );
-        let want_hits = format!(
-            "{} {}",
-            metric_names::SERVE_CACHE_HITS_TOTAL,
-            stats.cache_hits
-        );
-        for needle in [
-            want_counter.as_str(),
-            want_hits.as_str(),
-            metric_names::SERVE_CACHE_MISSES_TOTAL,
-            metric_names::POOL_MODEL_VERSION,
-            metric_names::SERVE_QUEUE_DEPTH,
-            metric_names::SERVE_REJECTED_TOTAL,
-            metric_names::SERVE_SOJOURN_US,
-        ] {
-            if !body.contains(needle) {
-                return Err(format!("/metrics scrape is missing {needle:?}").into());
-            }
-        }
-        println!(
-            "  /metrics self-check: {} bytes, all expected series present",
-            body.len()
-        );
-    }
-
-    // The machine-readable perf record (`reproduce check-bench` format).
-    if let Some(path) = &args.bench_json {
-        let record = problp::bench::BenchRecord {
-            scenario: "serve_sim".to_string(),
-            requests: trace.len() as u64,
-            throughput_rps: admitted as f64 / served_total.as_secs_f64(),
-            latency: Some(sojourn.snapshot()),
-            rejects: quota_rejects as u64,
-            extra: vec![
-                (
-                    "models".to_string(),
-                    problp::telemetry::JsonValue::from(tenants.len()),
-                ),
-                (
-                    "workers".to_string(),
-                    problp::telemetry::JsonValue::from(args.workers.max(1)),
-                ),
-                (
-                    "identical".to_string(),
-                    problp::telemetry::JsonValue::from(admitted - mismatches),
-                ),
-                (
-                    "scalar_secs".to_string(),
-                    problp::telemetry::JsonValue::from(scalar_total.as_secs_f64()),
-                ),
-                (
-                    "served_secs".to_string(),
-                    problp::telemetry::JsonValue::from(served_total.as_secs_f64()),
-                ),
-            ],
-        };
-        let text = record.to_json().render_pretty();
-        problp::bench::validate_bench_json(&text)
-            .map_err(|e| format!("emitted bench record is invalid: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("  wrote {}", path.display());
-    }
-
-    // Keep the sidecar (and the healthy server behind it) up for
-    // external scrapers before tearing down.
-    if args.linger_ms > 0 {
-        std::thread::sleep(Duration::from_millis(args.linger_ms));
-    }
-    server.shutdown();
-    drop(sidecar);
-    Ok(())
-}
-
-struct ServeHttpArgs {
-    /// Comma-separated built-in network names or `.bn` paths.
-    models: String,
-    /// Gateway bind address (`host:port`; port 0 = OS-assigned).
-    addr: String,
-    /// `TOK=MODEL` pairs; `None` mints `token-<model>` per model.
-    tokens: Option<String>,
-    /// Gateway connection-handling worker threads.
-    http_workers: usize,
-    max_batch: usize,
-    max_wait_us: u64,
-    workers: usize,
-    seed: u64,
-    tenant_quota: usize,
-    cache_capacity: usize,
-    /// `Some(n)`: replay an `n`-request seeded trace through real
-    /// sockets, self-check and exit. `None`: serve until killed.
-    self_drive: Option<usize>,
-    metrics_addr: Option<String>,
-    /// Self-drive / bounded-serve linger before exiting.
+/// Starts the scenario's serving stack and prints where it listens.
+/// With `drive`, runs the scenario's trace, prints the checked report
+/// and writes its `problp-bench/v1` record to `bench_json`; without, it
+/// only serves. Either way the stack stays up `linger_ms` longer; serving
+/// without driving or lingering runs until killed.
+fn serve(
+    scenario: &Scenario,
+    drive: bool,
     linger_ms: u64,
-    /// Write the run's `problp-bench/v1` perf record here.
-    bench_json: Option<PathBuf>,
-}
+    bench_json: Option<&std::path::Path>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    use std::time::Duration;
 
-/// Renders a [`problp::engine::ServeRequest`] as the gateway's POST
-/// body. The model never appears — it is carried by the bearer token.
-fn gateway_body(req: &problp::engine::ServeRequest) -> String {
-    let lanes: Vec<String> = (0..req.evidence.len())
-        .map(|i| match req.evidence.state(VarId::from_index(i)) {
-            Some(s) => s.to_string(),
-            None => "null".to_string(),
-        })
-        .collect();
-    let priority = match req.priority {
-        problp::engine::Priority::Interactive => "interactive",
-        problp::engine::Priority::Batch => "batch",
-    };
-    match req.query {
-        BatchQuery::Marginal => format!(
-            r#"{{"query": "marginal", "evidence": [{}], "priority": "{priority}"}}"#,
-            lanes.join(", ")
-        ),
-        BatchQuery::Mpe => format!(
-            r#"{{"query": "mpe", "evidence": [{}], "priority": "{priority}"}}"#,
-            lanes.join(", ")
-        ),
-        BatchQuery::Conditional { query_var } => format!(
-            r#"{{"query": "conditional", "query_var": {}, "evidence": [{}], "priority": "{priority}"}}"#,
-            query_var.index(),
-            lanes.join(", ")
-        ),
-    }
-}
-
-/// Whether a parsed 200 body reproduces the uncached `serve_one`
-/// reference bit for bit (values, posteriors, assignments,
-/// predictions — flags are batch-scope and excluded by design).
-fn gateway_reply_matches(
-    doc: &problp::telemetry::JsonValue,
-    want: &problp::engine::ServeResponse<f64>,
-) -> bool {
-    use problp::engine::ServeResponse;
-    use problp::telemetry::JsonValue;
-    let f64_field = |name: &str| doc.get(name).and_then(JsonValue::as_f64);
-    let usize_array = |name: &str| -> Option<Vec<usize>> {
-        doc.get(name)?
-            .as_array()?
-            .iter()
-            .map(|v| v.as_f64().map(|f| f as usize))
-            .collect()
-    };
-    match want {
-        ServeResponse::Marginal { value, .. } => {
-            f64_field("value").is_some_and(|got| got.to_bits() == value.to_bits())
-        }
-        ServeResponse::Mpe {
-            assignment, value, ..
-        } => {
-            f64_field("value").is_some_and(|got| got.to_bits() == value.to_bits())
-                && usize_array("assignment").is_some_and(|got| &got == assignment)
-        }
-        ServeResponse::Conditional {
-            posteriors,
-            prediction,
-            ..
-        } => {
-            let got: Option<Vec<f64>> = doc
-                .get("posteriors")
-                .and_then(JsonValue::as_array)
-                .map(|a| a.iter().filter_map(JsonValue::as_f64).collect());
-            got.is_some_and(|got| {
-                got.len() == posteriors.len()
-                    && got
-                        .iter()
-                        .zip(posteriors)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            }) && f64_field("prediction").is_some_and(|p| p as usize == *prediction)
+    let stack = Stack::start(scenario)?;
+    if let Some((addr, tokens)) = stack.gateway() {
+        println!(
+            "serve-http: {} models behind POST http://{addr}/v1/query",
+            scenario.models.len()
+        );
+        for (tok, model) in tokens {
+            println!("  token {tok} -> model {model}");
         }
     }
-}
-
-/// Hosts the multi-model pool behind the HTTP query gateway
-/// (`problp::gateway`). Without `--self-drive` it serves until killed
-/// (or for `--linger-ms`); with it, a seeded mixed-query trace is
-/// replayed through real sockets, every admitted answer checked
-/// bit-identical to per-request `serve_one` evaluation, the typed
-/// error → status mapping probed (401/404/405/400/413/429), and the
-/// `problp_gateway_*` series cross-checked against the client's own
-/// status counts.
-fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use problp::engine::{
-        CircuitPool, Gateway, GatewayConfig, Priority, ServeConfig, ServeError, ServeRequest,
-        Server,
-    };
-    use problp::telemetry::{
-        http_post, http_request, metric_names, JsonValue, MetricsRegistry, Sidecar,
-    };
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let mut tenants: Vec<(String, BayesNet, AcGraph)> = Vec::new();
-    for (name, net) in load_models(&args.models, args.seed)? {
-        let ac = compile(&net)?;
-        tenants.push((name, net, ac));
+    if let Some(addr) = stack.metrics_addr() {
+        println!("  metrics sidecar: http://{addr}/metrics");
     }
-    if tenants.is_empty() {
-        return Err("serve-http needs at least one model (--models a,b)".into());
-    }
-
-    // The auth table: explicit TOK=MODEL pairs, or one minted
-    // `token-<model>` per hosted model.
-    let tokens: Vec<(String, String)> = match &args.tokens {
-        Some(spec) => {
-            let mut table = Vec::new();
-            for entry in spec.split(',').filter(|s| !s.is_empty()) {
-                let Some((tok, model)) = entry.trim().split_once('=') else {
-                    return Err(format!("--tokens entry {entry:?} is not TOK=MODEL").into());
-                };
-                if !tenants.iter().any(|(n, _, _)| n == model) {
-                    return Err(format!("--tokens names unhosted model {model:?}").into());
-                }
-                table.push((tok.to_string(), model.to_string()));
-            }
-            table
+    if drive {
+        let report = stack.drive()?;
+        print!("{}", report.render());
+        if let Some(path) = bench_json {
+            let text = problp::bench::workload_bench_record(&report)
+                .to_json()
+                .render_pretty();
+            problp::bench::validate_bench_json(&text)
+                .map_err(|e| format!("emitted bench record is invalid: {e}"))?;
+            std::fs::write(path, text)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            println!("  wrote {}", path.display());
         }
-        None => tenants
-            .iter()
-            .map(|(n, _, _)| (format!("token-{n}"), n.clone()))
-            .collect(),
-    };
-
-    let mut pool = CircuitPool::new(F64Arith::new());
-    for (name, _, ac) in &tenants {
-        pool.register(name, ac)?;
-    }
-    let registry = Arc::new(MetricsRegistry::new());
-    let server = Arc::new(Server::start_instrumented(
-        pool,
-        ServeConfig {
-            max_batch: args.max_batch.max(1),
-            max_wait: Duration::from_micros(args.max_wait_us),
-            workers: args.workers.max(1),
-            tenant_quota: args.tenant_quota,
-            cache_capacity: args.cache_capacity,
-            ..ServeConfig::default()
-        },
-        Arc::clone(&registry),
-    ));
-    let mut gateway = Gateway::start(
-        Arc::clone(&server),
-        GatewayConfig {
-            addr: args.addr.clone(),
-            tokens: tokens.clone(),
-            http_workers: args.http_workers.max(1),
-            ..GatewayConfig::default()
-        },
-    )
-    .map_err(|e| format!("cannot bind gateway on {}: {e}", args.addr))?;
-    let addr = gateway.local_addr();
-    println!(
-        "serve-http: {} models behind POST http://{addr}/v1/query",
-        tenants.len()
-    );
-    for (tok, model) in &tokens {
-        println!("  token {tok} -> model {model}");
-    }
-    let sidecar = match &args.metrics_addr {
-        Some(maddr) => {
-            let s = Sidecar::start(maddr, Arc::clone(&registry), server.health_fn())
-                .map_err(|e| format!("cannot bind metrics sidecar on {maddr}: {e}"))?;
-            println!("  metrics sidecar: http://{}/metrics", s.local_addr());
-            Some(s)
-        }
-        None => None,
-    };
-
-    let Some(drive) = args.self_drive else {
-        // Plain serving mode: stay up until killed, or for a bounded
-        // window when --linger-ms is given (the CI smoke uses this).
-        if args.linger_ms > 0 {
-            std::thread::sleep(Duration::from_millis(args.linger_ms));
-            gateway.shutdown();
-            drop(server); // the Arc's last drop joins the serve workers
-            drop(sidecar);
-            return Ok(());
-        }
+    } else if linger_ms == 0 {
         loop {
             std::thread::sleep(Duration::from_secs(1));
         }
-    };
-
-    // --- Self-drive: a seeded mixed trace over real sockets. ---
-    let pools: Vec<Vec<Evidence>> = tenants
-        .iter()
-        .map(|(_, _, ac)| problp::bayes::single_variable_evidences(ac.var_arities()))
-        .collect();
-    let mut rng = TraceRng::new(args.seed);
-    let trace: Vec<(usize, ServeRequest)> = (0..drive.max(1))
-        .map(|_| {
-            let t = rng.below(tenants.len());
-            let (name, net, _) = &tenants[t];
-            let query = match rng.below(3) {
-                0 => BatchQuery::Marginal,
-                1 => BatchQuery::Mpe,
-                _ => BatchQuery::Conditional {
-                    query_var: net.roots().first().copied().unwrap_or(VarId::from_index(0)),
-                },
-            };
-            let evidence = pools[t][rng.below(pools[t].len())].clone();
-            let priority = if rng.below(4) == 0 {
-                Priority::Batch
-            } else {
-                Priority::Interactive
-            };
-            (
-                t,
-                ServeRequest {
-                    model: name.clone(),
-                    evidence,
-                    query,
-                    priority,
-                },
-            )
-        })
-        .collect();
-    println!(
-        "  self-drive: {} requests (seed {})",
-        trace.len(),
-        args.seed
-    );
-
-    let token_for = |model: &str| -> Result<&str, String> {
-        tokens
-            .iter()
-            .find(|(_, m)| m == model)
-            .map(|(t, _)| t.as_str())
-            .ok_or_else(|| format!("no token grants model {model:?}"))
-    };
-    let bearer = |tok: &str| [("Authorization", format!("Bearer {tok}"))];
-    // The client's own status ledger: the run's last self-check holds
-    // the gateway's counters to exactly these numbers.
-    let mut statuses: Vec<(u16, u64)> = Vec::new();
-    let mut count = |code: u16| match statuses.iter_mut().find(|(c, _)| *c == code) {
-        Some((_, n)) => *n += 1,
-        None => statuses.push((code, 1)),
-    };
-    let latency =
-        problp::telemetry::Histogram::new(problp::telemetry::default_latency_buckets_us());
-    let mut latencies_us: Vec<u128> = Vec::with_capacity(trace.len());
-    let mut identical = 0usize;
-    let mut mismatches = 0usize;
-    let mut impossible = 0usize;
-    let drive_start = Instant::now();
-    for (i, (_, req)) in trace.iter().enumerate() {
-        let body = gateway_body(req);
-        let tok = token_for(&req.model)?;
-        let sent = Instant::now();
-        let (code, _headers, text) = http_post(&addr, "/v1/query", &bearer(tok), &body)
-            .map_err(|e| format!("request {i} failed: {e}"))?;
-        let waited = sent.elapsed();
-        latency.observe_duration(waited);
-        latencies_us.push(waited.as_micros());
-        count(code);
-        // The uncached per-request reference the socket answer must
-        // reproduce bit for bit.
-        let reference = server.pool().serve_one(req);
-        let ok = match (code, &reference) {
-            (200, Ok(want)) => JsonValue::parse(&text)
-                .ok()
-                .is_some_and(|doc| gateway_reply_matches(&doc, want)),
-            (422, Err(ServeError::ImpossibleEvidence)) => {
-                impossible += 1;
-                text.contains("\"impossible_evidence\"")
-            }
-            _ => false,
-        };
-        if ok {
-            identical += 1;
-        } else {
-            mismatches += 1;
-            if mismatches <= 3 {
-                eprintln!("mismatch at request {i}: HTTP {code} {text} vs {reference:?}");
-            }
-        }
     }
-    let drive_total = drive_start.elapsed();
-    println!(
-        "  verification: {identical}/{} socket answers bit-identical to serve_one \
-         ({impossible} typed impossible-evidence)",
-        trace.len()
-    );
-
-    // Typed-error probes: each must surface as its mapped status with
-    // the stable error slug in a JSON body.
-    let (ref_model, _, _) = &tenants[0];
-    let ref_token = token_for(ref_model)?.to_string();
-    let good = gateway_body(&ServeRequest {
-        model: ref_model.clone(),
-        evidence: Evidence::empty(tenants[0].2.var_arities().len()),
-        query: BatchQuery::Marginal,
-        priority: Priority::Interactive,
-    });
-    let bad_shape = r#"{"query": "marginal", "evidence": [null]}"#;
-    let oversized = format!(
-        r#"{{"query": "marginal", "evidence": [{}null]}}"#,
-        "null, ".repeat(20_000)
-    );
-    let probes: Vec<(&str, u16, &str, problp::telemetry::HttpResponse)> = vec![
-        (
-            "missing auth",
-            401,
-            "unauthorized",
-            http_post(&addr, "/v1/query", &[], &good)?,
-        ),
-        (
-            "unknown token",
-            401,
-            "unauthorized",
-            http_post(&addr, "/v1/query", &bearer("definitely-wrong"), &good)?,
-        ),
-        (
-            "unknown path",
-            404,
-            "not_found",
-            http_post(&addr, "/v2/query", &bearer(&ref_token), &good)?,
-        ),
-        (
-            "bad method",
-            405,
-            "method_not_allowed",
-            http_request(&addr, "GET", "/v1/query", &bearer(&ref_token), &[])?,
-        ),
-        (
-            "bad json",
-            400,
-            "bad_json",
-            http_post(&addr, "/v1/query", &bearer(&ref_token), "{nope")?,
-        ),
-        (
-            "bad shape",
-            400,
-            "bad_shape",
-            http_post(&addr, "/v1/query", &bearer(&ref_token), bad_shape)?,
-        ),
-        (
-            "oversized body",
-            413,
-            "body_too_large",
-            http_post(&addr, "/v1/query", &bearer(&ref_token), &oversized)?,
-        ),
-    ];
-    let mut parse_rejects = 0u64;
-    for (what, want_code, want_slug, (code, _headers, text)) in probes {
-        count(code);
-        if code == 413 {
-            parse_rejects += 1; // rejected before the body counters
-        }
-        if code != want_code || !text.contains(&format!("\"{want_slug}\"")) {
-            return Err(format!(
-                "{what} probe: expected {want_code} {want_slug}, got {code}: {}",
-                text.trim()
-            )
-            .into());
-        }
-        println!("  probe {what}: {code} {want_slug}");
-    }
-
-    // Deterministic quota probe on a dedicated single-worker instance:
-    // a long coalescing window holds two requests in flight, so the
-    // third must bounce off tenant_quota=2 as a 429 with Retry-After.
-    {
-        let mut qpool = CircuitPool::new(F64Arith::new());
-        qpool.register(ref_model, &tenants[0].2)?;
-        // The coalescing wait must outlast the 600ms fill window below
-        // (so both fillers are still occupying the quota when the probe
-        // lands) but stay well under the HTTP client's 2s read timeout,
-        // or the fillers time out waiting for their own answers.
-        let qserver = Arc::new(Server::start(
-            qpool,
-            ServeConfig {
-                max_batch: 1024,
-                max_wait: Duration::from_millis(1200),
-                workers: 1,
-                tenant_quota: 2,
-                ..ServeConfig::default()
-            },
-        ));
-        let mut qgateway = Gateway::start(
-            Arc::clone(&qserver),
-            GatewayConfig {
-                tokens: vec![("quota-probe".to_string(), ref_model.clone())],
-                ..GatewayConfig::default()
-            },
-        )?;
-        let qaddr = qgateway.local_addr();
-        let fill_body = good.clone();
-        let fillers: Vec<_> = (0..2)
-            .map(|_| {
-                let body = fill_body.clone();
-                std::thread::spawn(move || {
-                    http_post(
-                        &qaddr,
-                        "/v1/query",
-                        &[("Authorization", "Bearer quota-probe".to_string())],
-                        &body,
-                    )
-                })
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(600));
-        let (code, headers, text) = http_post(
-            &qaddr,
-            "/v1/query",
-            &[("Authorization", "Bearer quota-probe".to_string())],
-            &good,
-        )?;
-        if code != 429 || !text.contains("\"quota_exceeded\"") {
-            return Err(format!("quota probe: expected 429, got {code}: {}", text.trim()).into());
-        }
-        let retry_after = headers
-            .iter()
-            .find(|(n, _)| n == "retry-after")
-            .map(|(_, v)| v.clone());
-        if retry_after.is_none() {
-            return Err("quota probe: 429 without a Retry-After header".into());
-        }
-        for filler in fillers {
-            let (code, _h, text) = filler
-                .join()
-                .map_err(|_| "quota filler thread panicked")?
-                .map_err(|e| format!("quota filler failed: {e}"))?;
-            if code != 200 {
-                return Err(format!("quota filler got {code}: {}", text.trim()).into());
-            }
-        }
-        let scrape = qserver.metrics().render_prometheus();
-        let needle = format!(
-            "{}{{status=\"429\"}} 1",
-            metric_names::GATEWAY_REQUESTS_TOTAL
-        );
-        if !scrape.contains(&needle) {
-            return Err(format!("quota instance scrape is missing {needle:?}").into());
-        }
-        println!(
-            "  probe quota: 429 quota_exceeded (Retry-After {})",
-            retry_after.unwrap_or_default()
-        );
-        qgateway.shutdown();
-        drop(qserver); // last Arc: Drop joins the quota instance
-    }
-
-    // Metrics self-check: the gateway's own counters must agree with
-    // the client-side status ledger, and every request that got past
-    // HTTP parsing must appear in the body/latency histograms.
-    let scrape = registry.render_prometheus();
-    for (code, n) in &statuses {
-        let needle = format!(
-            "{}{{status=\"{code}\"}} {n}",
-            metric_names::GATEWAY_REQUESTS_TOTAL
-        );
-        if !scrape.contains(&needle) {
-            return Err(format!("gateway scrape is missing {needle:?}").into());
-        }
-    }
-    let total: u64 = statuses.iter().map(|(_, n)| *n).sum();
-    let parsed = total - parse_rejects;
-    for histogram in [
-        metric_names::GATEWAY_BODY_BYTES,
-        metric_names::GATEWAY_HANDLER_US,
-    ] {
-        let needle = format!("{histogram}_count {parsed}");
-        if !scrape.contains(&needle) {
-            return Err(format!("gateway scrape is missing {needle:?}").into());
-        }
-    }
-    println!(
-        "  metrics self-check: {total} requests across {} statuses",
-        statuses.len()
-    );
-
-    let mut all = latencies_us.clone();
-    all.sort_unstable();
-    println!(
-        "  latency (round-trip): p50 {}us  p90 {}us  p99 {}us  max {}us",
-        fmt_us(percentile(&all, 50.0)),
-        fmt_us(percentile(&all, 90.0)),
-        fmt_us(percentile(&all, 99.0)),
-        all.last().copied().unwrap_or(0)
-    );
-    println!(
-        "  trace: {:>9.2} ms total  ({:>10.0} req/s over sockets)",
-        drive_total.as_secs_f64() * 1e3,
-        trace.len() as f64 / drive_total.as_secs_f64()
-    );
-    if mismatches > 0 {
-        return Err(format!("{mismatches} socket answers diverged from serve_one").into());
-    }
-
-    if let Some(path) = &args.bench_json {
-        let statuses_json = JsonValue::Object(
-            statuses
-                .iter()
-                .map(|(c, n)| (c.to_string(), JsonValue::from(*n as usize)))
-                .collect(),
-        );
-        let rejects: u64 = statuses
-            .iter()
-            .filter(|(c, _)| *c != 200)
-            .map(|(_, n)| *n)
-            .sum();
-        let record = problp::bench::BenchRecord {
-            scenario: "gateway".to_string(),
-            requests: trace.len() as u64,
-            throughput_rps: trace.len() as f64 / drive_total.as_secs_f64(),
-            latency: Some(latency.snapshot()),
-            rejects,
-            extra: vec![
-                ("models".to_string(), JsonValue::from(tenants.len())),
-                (
-                    "http_workers".to_string(),
-                    JsonValue::from(args.http_workers.max(1)),
-                ),
-                ("identical".to_string(), JsonValue::from(identical)),
-                ("statuses".to_string(), statuses_json),
-            ],
-        };
-        let text = record.to_json().render_pretty();
-        problp::bench::validate_bench_json(&text)
-            .map_err(|e| format!("emitted bench record is invalid: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("  wrote {}", path.display());
-    }
-
-    if args.linger_ms > 0 {
-        std::thread::sleep(Duration::from_millis(args.linger_ms));
-    }
-    gateway.shutdown();
-    drop(server); // the Arc's last drop joins the serve workers
-    drop(sidecar);
+    std::thread::sleep(Duration::from_millis(linger_ms));
     Ok(())
 }
 

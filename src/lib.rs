@@ -25,8 +25,8 @@
 //! | [`hw`] | `problp-hw` | netlist, pipeline simulator, Verilog |
 //! | [`data`] | `problp-data` | synthetic benchmarks, Alarm test sets |
 //! | [`core`] | `problp-core` | the Fig. 2 pipeline and measurements |
-//! | [`bench`](mod@bench) | `problp-bench` | tables/figures harness, accuracy studies |
-//! | [`telemetry`] | `problp-telemetry` | metrics registry, span tracing, `/metrics` sidecar |
+//! | [`bench`](mod@bench) | `problp-bench` | tables/figures harness, accuracy studies, serving workload driver |
+//! | [`telemetry`] | `problp-telemetry` | metrics registry, Prometheus rendering, `/metrics` sidecar |
 //!
 //! # Quickstart
 //!
