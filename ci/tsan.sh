@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer pass over the concurrency-sensitive paths: the lock-free
-# telemetry registry (atomic counter merges) and the serve-layer request
-# coalescing (dispatcher shards + waiter handoff).
+# telemetry registry (atomic counter merges), the serve-layer request
+# coalescing (dispatcher shards + waiter handoff) and the HTTP listener's
+# shutdown (stop flag, idle-connection close and self-connect wake).
 #
 # TSan needs a nightly toolchain (-Zsanitizer=thread) and, for a fully
 # instrumented std, -Zbuild-std + the rust-src component. The job is
@@ -25,14 +26,19 @@ rustup component add rust-src --toolchain nightly >/dev/null 2>&1 || true
 
 TARGET=x86_64-unknown-linux-gnu
 
-# The two tests TSan gates: the registry's cross-thread counter sum and
+# The three tests TSan gates: the registry's cross-thread counter sum,
 # the end-to-end coalescing trace (batched answers handed back to
-# per-request waiters across shards).
+# per-request waiters across shards) and the gateway shutdown with an
+# idle kept-alive connection (the stopping flag and the idle-connection
+# handles shared by the caller, the accept thread and the workers).
 run_tests() {
     cargo +nightly test "$@" --target "$TARGET" \
         -p problp-telemetry concurrent_counter_increments_sum_exactly &&
     cargo +nightly test "$@" --target "$TARGET" \
-        -p problp-engine --lib mixed_tenant_trace_is_bit_identical_to_serve_one
+        -p problp-engine --lib mixed_tenant_trace_is_bit_identical_to_serve_one &&
+    cargo +nightly test "$@" --target "$TARGET" \
+        -p problp-engine --test gateway \
+        gateway_shutdown_is_prompt_with_an_idle_kept_alive_connection
 }
 
 # TSan is only sound with a *sanitized* std (-Zbuild-std, needs the

@@ -2,8 +2,8 @@
 //! [`Server::submit`], turning the in-process serving stack into a
 //! network service with typed backpressure.
 //!
-//! One JSON request per connection (the body schema is per query kind,
-//! parsed and rendered with [`problp_telemetry::json`] — no new
+//! Each query is one JSON body (the schema is per query kind, parsed
+//! and rendered with [`problp_telemetry::json`] — no new
 //! dependencies), authenticated by a per-tenant `Authorization: Bearer`
 //! token that the [`GatewayConfig::tokens`] table maps to a model id.
 //! The request is submitted at its chosen [`Priority`] and the
@@ -25,13 +25,22 @@
 //! | engine failure / internal invariant | 500 | `engine` / `internal` |
 //! | shutdown, answer deadline, full worker queue | 503 | `shutting_down` / `timeout` / `overloaded` |
 //!
-//! Unlike the scrape sidecar's two-worker pool, the gateway sizes its
-//! bounded [`WorkerPool`] for query traffic
+//! The gateway runs on the same [`Listener`] as the scrape sidecar, but
+//! sizes its bounded worker pool for query traffic
 //! ([`GatewayConfig::http_workers`]), applies per-connection read/write
 //! deadlines, and instruments every response:
 //! `problp_gateway_requests_total{status=...}`,
 //! `problp_gateway_body_bytes`, `problp_gateway_handler_us` (see
 //! [`problp_telemetry::metric_names`]).
+//!
+//! Connections are HTTP/1.1 keep-alive: a client that reuses its
+//! connection skips connect and accept on every query, and pipelined
+//! requests are answered in order. A connection closes after an
+//! HTTP/1.0 or `Connection: close` request, after any request the
+//! parser rejects, when another connection is queued for its worker,
+//! at shutdown, and — silently, with no response and no status
+//! counted — when the client closes it or it idles past
+//! [`GatewayConfig::io_timeout`].
 //!
 //! # Request body
 //!
@@ -86,17 +95,15 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use problp_bayes::{BatchQuery, Evidence, VarId};
 use problp_num::{Arith, Flags};
 use problp_telemetry::{
     default_latency_buckets_us, metric_names, read_request, write_response, Counter, HttpError,
-    HttpLimits, HttpRequest, JsonValue, MetricsRegistry, WorkerPool,
+    HttpLimits, HttpRequest, JsonValue, Listener, MetricsRegistry, Worker,
 };
 
 use super::admission::{Priority, ServeError, ServeRequest, ServeResponse};
@@ -126,7 +133,8 @@ pub struct GatewayConfig {
     pub max_head: usize,
     /// Max declared body bytes before a 413 (the body is not read).
     pub max_body: usize,
-    /// Per-connection socket read/write deadline.
+    /// Per-connection socket read/write deadline; also how long an
+    /// idle kept-alive connection may hold a worker.
     pub io_timeout: Duration,
     /// How long a handler waits on the request's [`super::Ticket`]
     /// before answering 503 (the request itself stays in flight).
@@ -259,9 +267,7 @@ impl Reply {
 /// A running gateway; stops accepting and joins its threads when
 /// dropped (the [`Server`] it fronts is independent and keeps running).
 pub struct Gateway {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl Gateway {
@@ -275,82 +281,34 @@ impl Gateway {
         A: KernelSet + Clone + Send + Sync + 'static,
         A::Value: Clone + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
         let metrics = Arc::new(GatewayMetrics::new(server.metrics()));
-        let tokens: Arc<HashMap<String, String>> =
-            Arc::new(config.tokens.iter().cloned().collect());
-        let config = Arc::new(config);
-        let handle = thread::Builder::new()
-            .name("problp-gateway-accept".to_string())
-            .spawn(move || accept_loop(listener, server, config, tokens, metrics, stop_flag))?;
-        Ok(Gateway {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
+        let shed_metrics = Arc::clone(&metrics);
+        let tokens: HashMap<String, String> = config.tokens.iter().cloned().collect();
+        let addr = config.addr.clone();
+        let listener = Listener::start(
+            &addr,
+            "problp-gateway",
+            config.http_workers,
+            config.backlog,
+            move |stream, worker: &Worker| {
+                let _ = handle_connection(stream, worker, &server, &config, &tokens, &metrics);
+            },
+            move |stream| {
+                let _ = shed_load(stream, &shed_metrics);
+            },
+        )?;
+        Ok(Gateway { listener })
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
-    /// Stops the accept loop, drains the worker queue and joins every
-    /// gateway thread.
+    /// Stops the accept loop, closes idle kept-alive connections,
+    /// drains the worker queue and joins every gateway thread.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop<A>(
-    listener: TcpListener,
-    server: Arc<Server<A>>,
-    config: Arc<GatewayConfig>,
-    tokens: Arc<HashMap<String, String>>,
-    metrics: Arc<GatewayMetrics>,
-    stop: Arc<AtomicBool>,
-) where
-    A: KernelSet + Clone + Send + Sync + 'static,
-    A::Value: Clone + Send + Sync + 'static,
-{
-    let handler: Arc<dyn Fn(TcpStream) + Send + Sync> = {
-        let config = Arc::clone(&config);
-        let metrics = Arc::clone(&metrics);
-        Arc::new(move |stream| {
-            let _ = handle_connection(stream, &server, &config, &tokens, &metrics);
-        })
-    };
-    let pool = WorkerPool::new(
-        "problp-gateway",
-        config.http_workers,
-        config.backlog,
-        handler,
-    );
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if let Err(stream) = pool.dispatch(stream) {
-                    let _ = shed_load(stream, &metrics);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
+        self.listener.shutdown();
     }
 }
 
@@ -364,10 +322,15 @@ fn shed_load(mut stream: TcpStream, metrics: &GatewayMetrics) -> io::Result<()> 
         "overloaded",
         "gateway worker queue is full; retry".to_string(),
     );
-    send_reply(&mut stream, metrics, &reply)
+    send_reply(&mut stream, metrics, &reply, false)
 }
 
-fn send_reply(stream: &mut TcpStream, metrics: &GatewayMetrics, reply: &Reply) -> io::Result<()> {
+fn send_reply(
+    stream: &mut TcpStream,
+    metrics: &GatewayMetrics,
+    reply: &Reply,
+    keep_alive: bool,
+) -> io::Result<()> {
     metrics.status_counter(reply.code).inc();
     let mut extra: Vec<(&str, String)> = Vec::new();
     if let Some(secs) = reply.retry_after {
@@ -379,11 +342,15 @@ fn send_reply(stream: &mut TcpStream, metrics: &GatewayMetrics, reply: &Reply) -
         "application/json; charset=utf-8",
         &extra,
         reply.body.render().as_bytes(),
+        keep_alive,
     )
 }
 
+/// Serves one connection: its requests in order, for as long as the
+/// client and the worker keep it alive.
 fn handle_connection<A>(
     stream: TcpStream,
+    worker: &Worker,
     server: &Server<A>,
     config: &GatewayConfig,
     tokens: &HashMap<String, String>,
@@ -393,7 +360,6 @@ where
     A: KernelSet + Clone + Send + Sync + 'static,
     A::Value: Clone + Send + Sync + 'static,
 {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(config.io_timeout))?;
     stream.set_write_timeout(Some(config.io_timeout))?;
     let limits = HttpLimits {
@@ -402,35 +368,49 @@ where
     };
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
-    let request = match read_request(&mut reader, &limits) {
-        Ok(request) => request,
-        Err(e) => {
-            let Some((code, _)) = e.status() else {
-                // The socket died; nobody is left to answer.
-                return Ok(());
-            };
-            let slug = match e {
-                HttpError::HeadTooLarge { .. } => "head_too_large",
-                HttpError::BodyTooLarge { .. } => "body_too_large",
-                HttpError::Timeout => "timeout",
-                _ => "bad_request",
-            };
-            send_reply(
-                &mut stream,
-                metrics,
-                &Reply::error(code, slug, e.to_string()),
-            )?;
-            // Drain the rejected request briefly so closing does not
-            // RST the error response out of the client's buffer.
-            problp_telemetry::httpd::drain_rejected(&stream, &mut reader);
+    loop {
+        let request = match read_request(&mut reader, &limits) {
+            Ok(request) => request,
+            Err(e) => return reject(&mut stream, &mut reader, metrics, &e),
+        };
+        metrics.body_bytes.observe(request.body.len() as u64);
+        let started = Instant::now();
+        let reply = route(&request, server, config, tokens);
+        metrics.handler_us.observe_duration(started.elapsed());
+        let keep_alive = request.keep_alive() && !worker.must_close();
+        send_reply(&mut stream, metrics, &reply, keep_alive)?;
+        if !keep_alive || !worker.await_request(&mut reader) {
             return Ok(());
         }
+    }
+}
+
+/// Answers a request [`read_request`] rejected, then drains it so the
+/// caller's close does not RST the response out of the client's buffer.
+fn reject(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    metrics: &GatewayMetrics,
+    e: &HttpError,
+) -> io::Result<()> {
+    let Some((code, _)) = e.status() else {
+        // The socket died; nobody is left to answer.
+        return Ok(());
     };
-    metrics.body_bytes.observe(request.body.len() as u64);
-    let started = Instant::now();
-    let reply = route(&request, server, config, tokens);
-    metrics.handler_us.observe_duration(started.elapsed());
-    send_reply(&mut stream, metrics, &reply)
+    let slug = match e {
+        HttpError::HeadTooLarge { .. } => "head_too_large",
+        HttpError::BodyTooLarge { .. } => "body_too_large",
+        HttpError::Timeout => "timeout",
+        _ => "bad_request",
+    };
+    send_reply(
+        stream,
+        metrics,
+        &Reply::error(code, slug, e.to_string()),
+        false,
+    )?;
+    problp_telemetry::httpd::drain_rejected(stream, reader);
+    Ok(())
 }
 
 fn route<A>(

@@ -2,8 +2,11 @@
 //! bit-identity of every answered query against the uncached
 //! `CircuitPool::serve_one` reference path, the typed-error → status
 //! mapping (401/404/400/413/422/429 + `Retry-After`), worker-pool
-//! concurrency, and the `problp_gateway_*` instrumentation.
+//! concurrency, keep-alive and shutdown, and the `problp_gateway_*`
+//! instrumentation.
 
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,7 +18,9 @@ use problp_engine::{
     ServeResponse, Server,
 };
 use problp_num::F64Arith;
-use problp_telemetry::{http_post, http_request, metric_names, scrape_value, JsonValue};
+use problp_telemetry::{
+    http_post, http_request, metric_names, read_response, scrape_value, HttpResponse, JsonValue,
+};
 
 fn two_model_server(config: ServeConfig) -> Arc<Server<F64Arith>> {
     let mut pool = CircuitPool::new(F64Arith::new());
@@ -462,4 +467,277 @@ fn error_status_is_connected_to_the_public_error_type() {
     // The mapping itself is pinned in unit tests; here just assert the
     // public re-export is callable from outside the crate.
     assert_eq!(error_status(&ServeError::ShutDown), (503, "shutting_down"));
+}
+
+/// A sprinkler marginal over no evidence.
+const MARGINAL: &str = r#"{"query": "marginal", "evidence": [null, null, null, null]}"#;
+
+fn start_gateway(serve: ServeConfig, gateway: GatewayConfig) -> (Arc<Server<F64Arith>>, Gateway) {
+    let server = two_model_server(serve);
+    let gateway = Gateway::start(
+        Arc::clone(&server),
+        GatewayConfig {
+            tokens: tokens(),
+            ..gateway
+        },
+    )
+    .expect("start gateway");
+    (server, gateway)
+}
+
+/// One `POST /v1/query` as it goes on the wire, in one piece.
+fn wire(version: &str, token: &str, extra_headers: &str, body: &str) -> Vec<u8> {
+    format!(
+        "POST /v1/query {version}\r\nHost: gateway\r\nAuthorization: Bearer {token}\r\n\
+         {extra_headers}Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// A raw client connection and a buffered reader over it, so several
+/// responses can be read off one connection.
+fn connect(addr: &SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+fn header<'a>(response: &'a HttpResponse, name: &str) -> Option<&'a str> {
+    response
+        .1
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Reads until the server closes the connection; returns what arrived.
+fn read_to_eof(reader: &mut BufReader<TcpStream>) -> Vec<u8> {
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("server closes");
+    rest
+}
+
+/// Every `problp_gateway_requests_total` series, summed.
+fn responses_counted(server: &Server<F64Arith>) -> f64 {
+    let prefix = format!("{}{{", metric_names::GATEWAY_REQUESTS_TOTAL);
+    server
+        .metrics()
+        .render_prometheus()
+        .lines()
+        .filter(|line| line.starts_with(&prefix))
+        .filter_map(|line| line.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum()
+}
+
+#[test]
+fn serial_posts_are_not_paced_by_an_accept_poll() {
+    let (_server, gateway) = start_gateway(
+        ServeConfig {
+            max_wait: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+        GatewayConfig::default(),
+    );
+    let addr = gateway.local_addr();
+    let started = Instant::now();
+    for _ in 0..100 {
+        let (code, _h, body) =
+            http_post(&addr, "/v1/query", &auth("tok-sprinkler"), MARGINAL).expect("post");
+        assert_eq!(code, 200, "{body}");
+    }
+    assert!(
+        started.elapsed() < Duration::from_millis(300),
+        "100 serial connections took {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn keep_alive_exchanges_are_not_stalled_by_split_writes() {
+    let (_server, gateway) = start_gateway(
+        ServeConfig {
+            max_wait: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+        GatewayConfig::default(),
+    );
+    let (mut conn, mut reader) = connect(&gateway.local_addr());
+    let request = wire("HTTP/1.1", "tok-sprinkler", "", MARGINAL);
+    let started = Instant::now();
+    for i in 0..50 {
+        conn.write_all(&request).expect("send");
+        let response = read_response(&mut reader).expect("response");
+        assert_eq!(response.0, 200, "exchange {i}: {}", response.2);
+        assert_eq!(header(&response, "connection"), None, "exchange {i}");
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "50 keep-alive exchanges took {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn close_requests_get_connection_close_and_eof() {
+    let (_server, gateway) = start_gateway(ServeConfig::default(), GatewayConfig::default());
+    for (version, extra) in [("HTTP/1.1", "Connection: close\r\n"), ("HTTP/1.0", "")] {
+        let (mut conn, mut reader) = connect(&gateway.local_addr());
+        conn.write_all(&wire(version, "tok-sprinkler", extra, MARGINAL))
+            .expect("send");
+        let response = read_response(&mut reader).expect("response");
+        assert_eq!(response.0, 200, "{version}: {}", response.2);
+        assert_eq!(header(&response, "connection"), Some("close"), "{version}");
+        assert!(read_to_eof(&mut reader).is_empty(), "{version}");
+    }
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (_server, gateway) = start_gateway(ServeConfig::default(), GatewayConfig::default());
+    let (mut conn, mut reader) = connect(&gateway.local_addr());
+    let mpe = r#"{"query": "mpe", "evidence": [null, null, null, null]}"#;
+    let mut requests = wire("HTTP/1.1", "tok-sprinkler", "", MARGINAL);
+    requests.extend(wire("HTTP/1.1", "tok-wrong", "", MARGINAL));
+    requests.extend(wire(
+        "HTTP/1.1",
+        "tok-sprinkler",
+        "Connection: close\r\n",
+        mpe,
+    ));
+    conn.write_all(&requests).expect("send all three at once");
+    let kinds: Vec<(u16, Option<String>)> = (0..3)
+        .map(|_| {
+            let (code, _h, body) = read_response(&mut reader).expect("response");
+            let doc = JsonValue::parse(&body).expect("json body");
+            let kind = doc
+                .get("query")
+                .and_then(JsonValue::as_str)
+                .map(String::from);
+            (code, kind)
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            (200, Some("marginal".to_string())),
+            (401, None),
+            (200, Some("mpe".to_string())),
+        ]
+    );
+    assert!(read_to_eof(&mut reader).is_empty());
+}
+
+#[test]
+fn idle_kept_alive_connections_close_without_a_status() {
+    // One worker serializes the two clients: the second is answered only
+    // once the worker is done with the first.
+    let (server, gateway) = start_gateway(
+        ServeConfig::default(),
+        GatewayConfig {
+            http_workers: 1,
+            io_timeout: Duration::from_millis(300),
+            ..GatewayConfig::default()
+        },
+    );
+    let addr = gateway.local_addr();
+    let request = wire("HTTP/1.1", "tok-sprinkler", "", MARGINAL);
+    // Closed by the client after one exchange.
+    let (mut first, mut reader) = connect(&addr);
+    first.write_all(&request).expect("send");
+    assert_eq!(read_response(&mut reader).expect("response").0, 200);
+    drop((first, reader));
+    // Closed by the server once it idles past the io timeout.
+    let (mut second, mut reader) = connect(&addr);
+    second.write_all(&request).expect("send");
+    assert_eq!(read_response(&mut reader).expect("response").0, 200);
+    let idle = Instant::now();
+    assert!(
+        read_to_eof(&mut reader).is_empty(),
+        "no 408 for an idle close"
+    );
+    assert!(
+        idle.elapsed() >= Duration::from_millis(200),
+        "{:?}",
+        idle.elapsed()
+    );
+    assert_eq!(responses_counted(&server), 2.0);
+}
+
+#[test]
+fn idle_kept_alive_connection_yields_the_only_worker() {
+    let (_server, gateway) = start_gateway(
+        ServeConfig::default(),
+        GatewayConfig {
+            http_workers: 1,
+            ..GatewayConfig::default()
+        },
+    );
+    let addr = gateway.local_addr();
+    let (mut idle, mut reader) = connect(&addr);
+    idle.write_all(&wire("HTTP/1.1", "tok-sprinkler", "", MARGINAL))
+        .expect("send");
+    assert_eq!(read_response(&mut reader).expect("response").0, 200);
+    let started = Instant::now();
+    let (code, _h, body) =
+        http_post(&addr, "/v1/query", &auth("tok-sprinkler"), MARGINAL).expect("post");
+    assert_eq!(code, 200, "{body}");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "second client waited {:?} behind an idle connection",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn busy_kept_alive_connection_closes_for_a_queued_client() {
+    // A lone request waits out the whole coalescing window, so the
+    // second client is queued while the only worker serves the first.
+    let (_server, gateway) = start_gateway(
+        ServeConfig {
+            max_wait: Duration::from_millis(300),
+            ..ServeConfig::default()
+        },
+        GatewayConfig {
+            http_workers: 1,
+            ..GatewayConfig::default()
+        },
+    );
+    let addr = gateway.local_addr();
+    let (mut busy, mut reader) = connect(&addr);
+    busy.write_all(&wire("HTTP/1.1", "tok-sprinkler", "", MARGINAL))
+        .expect("send");
+    let queued = std::thread::spawn(move || {
+        http_post(&addr, "/v1/query", &auth("tok-sprinkler"), MARGINAL).expect("queued post")
+    });
+    let response = read_response(&mut reader).expect("response");
+    assert_eq!(response.0, 200, "{}", response.2);
+    assert_eq!(header(&response, "connection"), Some("close"));
+    assert!(read_to_eof(&mut reader).is_empty());
+    let (code, _h, body) = queued.join().expect("queued client");
+    assert_eq!(code, 200, "{body}");
+}
+
+#[test]
+fn gateway_shutdown_is_prompt_with_an_idle_kept_alive_connection() {
+    let (server, mut gateway) = start_gateway(ServeConfig::default(), GatewayConfig::default());
+    let (mut idle, mut reader) = connect(&gateway.local_addr());
+    idle.write_all(&wire("HTTP/1.1", "tok-sprinkler", "", MARGINAL))
+        .expect("send");
+    assert_eq!(read_response(&mut reader).expect("response").0, 200);
+    let started = Instant::now();
+    gateway.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    assert!(read_to_eof(&mut reader).is_empty());
+    match Arc::try_unwrap(server) {
+        Ok(server) => server.shutdown(),
+        Err(_) => panic!("the gateway still holds the server after shutdown"),
+    }
 }

@@ -1,19 +1,20 @@
 //! Shared bounded HTTP/1.1 primitives for the scrape [`crate::Sidecar`]
-//! and the query gateway in `problp-engine`: request parsing with hard
-//! size limits (oversized heads → 431, oversized bodies → 413, truncated
-//! bodies → 400 instead of unbounded reads), a canonical response
-//! writer, a small bounded [`WorkerPool`] so one stalled connection
-//! cannot serialize every other client behind it, and a strict client
-//! ([`read_response`] / [`http_request`]) that fails malformed status
-//! lines with a typed error and uses `Content-Length` instead of
+//! and the query gateway in `problp-engine`: one [`Listener`] (a
+//! blocking accept thread in front of a small bounded worker pool, so
+//! one stalled connection cannot serialize every other client behind
+//! it), request parsing with hard size limits (oversized heads → 431,
+//! oversized bodies → 413, truncated bodies → 400 instead of unbounded
+//! reads), a canonical single-write response writer, and a strict
+//! client ([`read_response`] / [`http_request`]) that fails malformed
+//! status lines with a typed error and uses `Content-Length` instead of
 //! blocking until the read timeout.
 //!
 //! Everything is `std::net` + `std::io`; no dependencies, no panics.
 
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -46,6 +47,8 @@ pub struct HttpRequest {
     pub method: String,
     /// The request target (`/v1/query`).
     pub path: String,
+    /// The protocol version, as sent (`HTTP/1.1`).
+    pub version: String,
     /// Parsed headers, names lower-cased, in arrival order.
     pub headers: Vec<(String, String)>,
     /// The request body, exactly `Content-Length` bytes.
@@ -60,6 +63,18 @@ impl HttpRequest {
             .iter()
             .find(|(n, _)| *n == want)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the client lets the connection stay open after the
+    /// response: HTTP/1.1 without a `Connection: close` token.
+    pub fn keep_alive(&self) -> bool {
+        self.version == "HTTP/1.1"
+            && !self
+                .headers
+                .iter()
+                .filter(|(n, _)| n == "connection")
+                .flat_map(|(_, v)| v.split(','))
+                .any(|token| token.trim().eq_ignore_ascii_case("close"))
     }
 }
 
@@ -203,7 +218,7 @@ pub fn read_request<R: BufRead>(
         .ok_or_else(|| HttpError::Malformed("connection closed before a request".to_string()))?;
     let mut parts = request_line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m.to_string(), p.to_string(), v),
+        (Some(m), Some(p), Some(v)) => (m.to_string(), p.to_string(), v.to_string()),
         _ => {
             return Err(HttpError::Malformed(format!(
                 "bad request line {request_line:?}"
@@ -261,6 +276,7 @@ pub fn read_request<R: BufRead>(
     Ok(HttpRequest {
         method,
         path,
+        version,
         headers,
         body,
     })
@@ -311,100 +327,294 @@ pub fn status_reason(code: u16) -> &'static str {
     }
 }
 
-/// Writes one `Connection: close` response with an exact
-/// `Content-Length`, plus any `extra_headers` (e.g. `Retry-After`).
+/// Writes one response with an exact `Content-Length`, plus any
+/// `extra_headers` (e.g. `Retry-After`) and, unless `keep_alive`,
+/// `Connection: close`.
+///
+/// Head and body go out in one write: on a kept-alive socket, a body
+/// written after its head waits behind Nagle's algorithm for the
+/// client's delayed ACK of the head (~40 ms on Linux).
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     code: u16,
     content_type: &str,
     extra_headers: &[(&str, String)],
     body: &[u8],
+    keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
+    let mut out = Vec::with_capacity(256 + body.len());
+    write!(
+        out,
+        "HTTP/1.1 {code} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         status_reason(code),
         body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+    )?;
+    if !keep_alive {
+        out.extend_from_slice(b"Connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    for (name, value) in extra_headers {
+        write!(out, "{name}: {value}\r\n")?;
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
-/// A fixed-size connection worker pool over a bounded queue: the accept
-/// loop stays free to answer (or shed) new connections while at most
-/// `workers` requests are being handled, and a full queue hands the
-/// connection *back* to the caller ([`WorkerPool::dispatch`]) so it can
-/// answer 503 instead of queueing unboundedly. Dropping the pool joins
-/// the workers after the queue drains.
-pub struct WorkerPool {
-    tx: Option<mpsc::SyncSender<TcpStream>>,
-    workers: Vec<thread::JoinHandle<()>>,
+/// Pause after a failed `accept` (e.g. the process is out of file
+/// descriptors) before trying again. The normal path never sleeps.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// What the accept thread, the workers and [`Listener::shutdown`]
+/// share, all under one lock.
+struct PoolState {
+    /// Accepted connections waiting for a worker, at most `backlog`.
+    queue: VecDeque<TcpStream>,
+    /// Workers parked until a connection is queued.
+    parked: usize,
+    /// Per worker, a handle on the kept-alive connection it idles on,
+    /// so the accept thread and shutdown can close it under the worker.
+    idle: Vec<Option<TcpStream>>,
+    /// Set once, by [`Listener::shutdown`].
+    stopping: bool,
 }
 
-impl WorkerPool {
-    /// Spawns `workers` threads (at least one) named `name-<i>`, each
-    /// pulling connections off a queue of at most `backlog` waiting
-    /// connections and running `handler` on them.
-    pub fn new(
+impl PoolState {
+    /// Whether a kept-alive connection must close to free its worker:
+    /// the listener is stopping, or a queued connection has no parked
+    /// worker to take it.
+    fn must_close(&self) -> bool {
+        self.stopping || self.queue.len() > self.parked
+    }
+}
+
+struct Pool {
+    state: Mutex<PoolState>,
+    ready: Condvar,
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // Every update under the lock is one push, pop, take or flag
+        // store, so a panic elsewhere leaves the state valid.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A handler's view of the worker thread running it: whether its
+/// connection may stay open, and a wait for the next request on it that
+/// gives way to queued clients and to shutdown.
+pub struct Worker {
+    pool: Arc<Pool>,
+    slot: usize,
+}
+
+impl Worker {
+    /// The next queued connection, or `None` once the listener stops
+    /// and the queue is empty.
+    fn next(&self) -> Option<TcpStream> {
+        let mut state = self.pool.lock();
+        loop {
+            if let Some(stream) = state.queue.pop_front() {
+                return Some(stream);
+            }
+            if state.stopping {
+                return None;
+            }
+            state.parked += 1;
+            state = self
+                .pool
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
+        }
+    }
+
+    /// Whether the connection must close after the response about to be
+    /// written: the listener is stopping, or a connection is queued that
+    /// no parked worker will take.
+    pub fn must_close(&self) -> bool {
+        self.pool.lock().must_close()
+    }
+
+    /// Waits for the next request on a kept-alive connection and
+    /// returns whether one started to arrive (bytes are buffered in
+    /// `reader`). Returns `false`, and the caller closes the connection
+    /// without a response, when the client closed it, it stayed idle
+    /// past the socket's read timeout, another connection was queued
+    /// for a worker, or the listener began to stop.
+    pub fn await_request(&self, reader: &mut BufReader<TcpStream>) -> bool {
+        if !reader.buffer().is_empty() {
+            return true; // pipelined
+        }
+        let Ok(handle) = reader.get_ref().try_clone() else {
+            return false;
+        };
+        {
+            let mut state = self.pool.lock();
+            if state.must_close() {
+                return false;
+            }
+            state.idle[self.slot] = Some(handle);
+        }
+        let arrived = matches!(reader.fill_buf(), Ok(bytes) if !bytes.is_empty());
+        // A taken handle means the accept thread or shutdown closed the
+        // connection; a request racing that close goes unanswered.
+        let kept = self.pool.lock().idle[self.slot].take().is_some();
+        arrived && kept
+    }
+}
+
+/// One bound HTTP listener: a blocking accept thread feeding a bounded
+/// queue of connections to a fixed pool of worker threads.
+///
+/// A full queue hands the connection to `shed` on the accept thread,
+/// so the caller can answer 503 instead of queueing unboundedly. A
+/// connection queued while every worker is busy closes one idle
+/// kept-alive connection to free its worker. Dropping the listener
+/// shuts it down.
+pub struct Listener {
+    addr: SocketAddr,
+    pool: Arc<Pool>,
+    threads: Vec<thread::JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Binds `addr` (port 0 for an OS-assigned port, read back via
+    /// [`Listener::local_addr`]) and starts `workers` threads (at least
+    /// one) named `name-<i>` running `handler` on each connection, plus
+    /// the accept thread `name-accept`, which queues at most `backlog`
+    /// connections and passes any beyond that to `shed`.
+    pub fn start<H, S>(
+        addr: &str,
         name: &str,
         workers: usize,
         backlog: usize,
-        handler: Arc<dyn Fn(TcpStream) + Send + Sync>,
-    ) -> WorkerPool {
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(backlog.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
-            .filter_map(|i| {
-                let rx = Arc::clone(&rx);
-                let handler = Arc::clone(&handler);
-                thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || loop {
-                        // Holding the lock only across recv keeps the
-                        // handoff serialized but the handling parallel.
-                        let next = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => return,
-                        };
-                        match next {
-                            Ok(stream) => handler(stream),
-                            Err(_) => return, // sender dropped: shutdown
-                        }
-                    })
-                    .ok()
-            })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            workers,
+        handler: H,
+        shed: S,
+    ) -> io::Result<Listener>
+    where
+        H: Fn(TcpStream, &Worker) + Send + Sync + 'static,
+        S: Fn(TcpStream) + Send + 'static,
+    {
+        let socket = TcpListener::bind(addr)?;
+        let workers = workers.max(1);
+        let backlog = backlog.max(1);
+        let mut listener = Listener {
+            addr: socket.local_addr()?,
+            pool: Arc::new(Pool {
+                state: Mutex::new(PoolState {
+                    queue: VecDeque::with_capacity(backlog),
+                    parked: 0,
+                    idle: (0..workers).map(|_| None).collect(),
+                    stopping: false,
+                }),
+                ready: Condvar::new(),
+            }),
+            threads: Vec::with_capacity(workers + 1),
+        };
+        let handler = Arc::new(handler);
+        for slot in 0..workers {
+            let worker = Worker {
+                pool: Arc::clone(&listener.pool),
+                slot,
+            };
+            let handler = Arc::clone(&handler);
+            let spawned = thread::Builder::new()
+                .name(format!("{name}-{slot}"))
+                .spawn(move || {
+                    while let Some(stream) = worker.next() {
+                        handler(stream, &worker);
+                    }
+                })?;
+            listener.threads.push(spawned);
         }
+        let pool = Arc::clone(&listener.pool);
+        let spawned = thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || accept_loop(&socket, &pool, backlog, shed))?;
+        listener.threads.push(spawned);
+        Ok(listener)
     }
 
-    /// Queues `stream` for a worker. A full (or shut down) pool returns
-    /// the stream so the caller can shed load with a prompt 503.
-    pub fn dispatch(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        match &self.tx {
-            Some(tx) => tx.try_send(stream).map_err(|e| match e {
-                TrySendError::Full(s) | TrySendError::Disconnected(s) => s,
-            }),
-            None => Err(stream),
+    /// The bound address (resolves port 0 to the real port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting, closes every idle kept-alive connection, lets
+    /// the workers finish the connections already queued (a kept-alive
+    /// one closes after its current response) and joins every thread.
+    pub fn shutdown(&mut self) {
+        if self.threads.is_empty() {
+            return;
+        }
+        {
+            let mut state = self.pool.lock();
+            state.stopping = true;
+            for idle in state.idle.iter_mut().filter_map(Option::take) {
+                let _ = idle.shutdown(Shutdown::Both);
+            }
+        }
+        self.pool.ready.notify_all();
+        // Wake the blocking accept with a connection of our own.
+        let _ = TcpStream::connect(wake_addr(self.addr));
+        for handle in self.threads.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
-impl Drop for WorkerPool {
+impl Drop for Listener {
     fn drop(&mut self) {
-        self.tx = None; // disconnect: workers exit once the queue drains
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        self.shutdown();
+    }
+}
+
+/// Where [`Listener::shutdown`] connects to wake its accept thread: the
+/// bound address, with an unspecified IP replaced by the loopback of
+/// its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+fn accept_loop(socket: &TcpListener, pool: &Pool, backlog: usize, shed: impl Fn(TcpStream)) {
+    loop {
+        let stream = match socket.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                if pool.lock().stopping {
+                    return;
+                }
+                thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
+        let mut state = pool.lock();
+        if state.stopping {
+            return; // the shutdown's wake-up connection
         }
+        if state.queue.len() >= backlog {
+            drop(state);
+            shed(stream);
+            continue;
+        }
+        state.queue.push_back(stream);
+        if state.must_close() {
+            // No parked worker will take it: free the worker of an idle
+            // kept-alive connection.
+            if let Some(idle) = state.idle.iter_mut().find_map(Option::take) {
+                let _ = idle.shutdown(Shutdown::Both);
+            }
+        }
+        drop(state);
+        pool.ready.notify_one();
     }
 }
 
@@ -412,8 +622,10 @@ impl Drop for WorkerPool {
 /// headers (names lower-cased) and the UTF-8 body.
 pub type HttpResponse = (u16, Vec<(String, String)>, String);
 
-/// Reads one HTTP response off `stream`: status code, headers (names
-/// lower-cased) and body.
+/// Reads one HTTP response off `reader`: status code, headers (names
+/// lower-cased) and body. Bytes after a `Content-Length` body stay in
+/// `reader`, so the next response on a kept-alive connection can be
+/// read the same way.
 ///
 /// Malformed status lines fail with a typed
 /// [`io::ErrorKind::InvalidData`] error naming the offending line
@@ -422,8 +634,7 @@ pub type HttpResponse = (u16, Vec<(String, String)>, String);
 /// EOF, so a keep-alive server that never closes cannot park the client
 /// on its read timeout. Without `Content-Length` the body runs to EOF
 /// (close-delimited), with a read timeout treated as end of body.
-pub fn read_response(stream: TcpStream) -> io::Result<HttpResponse> {
-    let mut reader = BufReader::new(stream);
+pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
     let line = status_line.trim_end();
@@ -518,7 +729,7 @@ pub fn http_request(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     stream.flush()?;
-    read_response(stream)
+    read_response(&mut BufReader::new(stream))
 }
 
 /// [`http_request`] for `POST` with a string body — the shape every
@@ -616,6 +827,64 @@ mod tests {
             parse(text, &HttpLimits::default()),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn keep_alive_needs_http_1_1_without_connection_close() {
+        let keep = |head: &str| {
+            parse(&format!("{head}\r\n\r\n"), &HttpLimits::default())
+                .unwrap()
+                .keep_alive()
+        };
+        assert!(keep("GET / HTTP/1.1"));
+        assert!(keep("GET / HTTP/1.1\r\nConnection: keep-alive"));
+        assert!(!keep("GET / HTTP/1.1\r\nConnection: close"));
+        assert!(!keep("GET / HTTP/1.1\r\nConnection: Upgrade, Close"));
+        assert!(!keep("GET / HTTP/1.0"));
+        assert!(!keep("GET / HTTP/1.0\r\nConnection: keep-alive"));
+    }
+
+    #[test]
+    fn responses_go_out_in_one_write() {
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for keep_alive in [true, false] {
+            let mut out = Writes(Vec::new());
+            let extra = [("Retry-After", "3".to_string())];
+            write_response(
+                &mut out,
+                429,
+                "text/plain",
+                &extra,
+                b"slow down",
+                keep_alive,
+            )
+            .unwrap();
+            assert_eq!(out.0.len(), 1, "head and body in one write");
+            let text = String::from_utf8(out.0.remove(0)).unwrap();
+            assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
+            assert!(text.contains("\r\nContent-Length: 9\r\n"));
+            assert!(text.contains("\r\nRetry-After: 3\r\n"));
+            assert!(text.ends_with("\r\n\r\nslow down"));
+            assert_eq!(text.contains("\r\nConnection: close\r\n"), !keep_alive);
+        }
+    }
+
+    #[test]
+    fn wake_addr_is_loopback_of_an_unspecified_bind() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("[::]:8080"), "[::1]:8080");
+        assert_eq!(wake("10.1.2.3:8080"), "10.1.2.3:8080");
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9");
     }
 
     #[test]

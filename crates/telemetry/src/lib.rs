@@ -50,7 +50,7 @@ pub mod sidecar;
 
 pub use httpd::{
     drain_rejected, http_post, http_request, read_request, read_response, status_reason,
-    write_response, HttpError, HttpLimits, HttpRequest, HttpResponse, WorkerPool,
+    write_response, HttpError, HttpLimits, HttpRequest, HttpResponse, Listener, Worker,
 };
 pub use json::{JsonError, JsonValue};
 pub use registry::{

@@ -1,27 +1,26 @@
-//! A minimal HTTP/1.1 sidecar on `std::net::TcpListener` exposing the
-//! registry: `GET /metrics` (Prometheus text), `GET /healthz`
-//! (liveness + detail lines, 200/503) and `GET /statz` (JSON snapshot).
+//! A minimal HTTP/1.1 sidecar on a [`Listener`] exposing the registry:
+//! `GET /metrics` (Prometheus text), `GET /healthz` (liveness + detail
+//! lines, 200/503) and `GET /statz` (JSON snapshot).
 //!
-//! The accept thread only accepts: connections are handled on a small
-//! bounded [`WorkerPool`] (shared with the query gateway in
-//! `problp-engine`), so one slow or stalled scraper cannot delay a
-//! `/healthz` probe behind it and flap liveness. Requests are parsed
-//! through [`crate::httpd::read_request`] under hard size limits —
-//! oversized request lines/headers answer 431 and oversized bodies 413
-//! instead of reading unboundedly into memory — and read/write timeouts
-//! bound how long any one client can hold a worker. The listener is
-//! non-blocking and polls a shutdown flag so [`Sidecar::shutdown`]
-//! returns promptly.
+//! The listener's accept thread only accepts: connections are handled
+//! on its small bounded worker pool (the query gateway in
+//! `problp-engine` runs on the same [`Listener`]), so one slow or
+//! stalled scraper cannot delay a `/healthz` probe behind it and flap
+//! liveness. Requests are parsed through [`crate::httpd::read_request`]
+//! under hard size limits — oversized request lines/headers answer 431
+//! and oversized bodies 413 instead of reading unboundedly into memory
+//! — and read/write timeouts bound how long any one client can hold a
+//! worker. Each connection carries one request, answered with
+//! `Connection: close`. The accept blocks, and [`Sidecar::shutdown`]
+//! wakes it with a connection of its own, so it returns promptly.
 
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
 use crate::httpd::{
-    drain_rejected, http_request, read_request, write_response, HttpLimits, WorkerPool,
+    drain_rejected, http_request, read_request, write_response, HttpLimits, Listener,
 };
 use crate::json::JsonValue;
 use crate::registry::MetricsRegistry;
@@ -68,9 +67,7 @@ pub type HealthFn = Box<dyn Fn() -> HealthStatus + Send + Sync>;
 
 /// A running metrics sidecar; shuts down when dropped.
 pub struct Sidecar {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl Sidecar {
@@ -82,68 +79,32 @@ impl Sidecar {
         registry: Arc<MetricsRegistry>,
         health: HealthFn,
     ) -> std::io::Result<Sidecar> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = thread::Builder::new()
-            .name("problp-metrics-sidecar".to_string())
-            .spawn(move || serve_loop(listener, registry, health, stop_flag))?;
-        Ok(Sidecar {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        let listener = Listener::start(
+            addr,
+            "problp-sidecar",
+            SIDECAR_WORKERS,
+            SIDECAR_BACKLOG,
+            move |stream, _| {
+                let _ = handle_connection(stream, &registry, &health);
+            },
+            |stream| {
+                // Queue full (every worker stalled): shed load with a
+                // prompt 503 instead of queueing unboundedly.
+                let _ = busy_reject(stream);
+            },
+        )?;
+        Ok(Sidecar { listener })
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Stops the accept loop and joins the serving threads.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.listener.shutdown();
     }
-}
-
-impl Drop for Sidecar {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_loop(
-    listener: TcpListener,
-    registry: Arc<MetricsRegistry>,
-    health: HealthFn,
-    stop: Arc<AtomicBool>,
-) {
-    let health = Arc::new(health);
-    let handler: Arc<dyn Fn(TcpStream) + Send + Sync> = Arc::new(move |stream| {
-        let _ = handle_connection(stream, &registry, &health);
-    });
-    let pool = WorkerPool::new("problp-sidecar", SIDECAR_WORKERS, SIDECAR_BACKLOG, handler);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if let Err(stream) = pool.dispatch(stream) {
-                    // Queue full (every worker stalled): shed load with
-                    // a prompt 503 instead of queueing unboundedly.
-                    let _ = busy_reject(stream);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(20)),
-        }
-    }
-    // Dropping the pool drains the queue and joins the workers.
 }
 
 /// Answers a connection the worker pool could not take. The short write
@@ -157,6 +118,7 @@ fn busy_reject(mut stream: TcpStream) -> std::io::Result<()> {
         "text/plain; charset=utf-8",
         &[],
         b"sidecar worker queue is full\n",
+        false,
     )
 }
 
@@ -165,7 +127,6 @@ fn handle_connection(
     registry: &MetricsRegistry,
     health: &HealthFn,
 ) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -257,7 +218,7 @@ fn respond(
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    write_response(stream, code, content_type, &[], body.as_bytes())
+    write_response(stream, code, content_type, &[], body.as_bytes(), false)
 }
 
 /// A tiny scrape client for tests and the serve-sim self-check: issues

@@ -127,6 +127,22 @@ fn stalled_client_does_not_block_healthz() {
     drop(stalled);
 }
 
+#[test]
+fn serial_healthz_scrapes_are_not_paced_by_an_accept_poll() {
+    let sidecar = start_sidecar();
+    let addr = sidecar.local_addr();
+    let started = Instant::now();
+    for _ in 0..50 {
+        let (code, body) = http_get(&addr, "/healthz").expect("healthz");
+        assert_eq!(code, 200, "{body}");
+    }
+    assert!(
+        started.elapsed() < Duration::from_millis(300),
+        "50 serial scrapes took {:?}",
+        started.elapsed()
+    );
+}
+
 /// A one-connection fake server answering with `response` verbatim,
 /// optionally holding the connection open afterwards (keep-alive
 /// behaviour the strict client must not block on).
