@@ -26,9 +26,11 @@ rustup component add rust-src --toolchain nightly >/dev/null 2>&1 || true
 
 TARGET=x86_64-unknown-linux-gnu
 
-# The three tests TSan gates: the registry's cross-thread counter sum,
+# The four tests TSan gates: the registry's cross-thread counter sum,
 # the end-to-end coalescing trace (batched answers handed back to
-# per-request waiters across shards) and the gateway shutdown with an
+# per-request waiters across shards, under a 200 us linger), the
+# zero-wait burst (two dispatchers racing for groups the moment they
+# are queued: the default policy) and the gateway shutdown with an
 # idle kept-alive connection (the stopping flag and the idle-connection
 # handles shared by the caller, the accept thread and the workers).
 run_tests() {
@@ -36,6 +38,8 @@ run_tests() {
         -p problp-telemetry concurrent_counter_increments_sum_exactly &&
     cargo +nightly test "$@" --target "$TARGET" \
         -p problp-engine --lib mixed_tenant_trace_is_bit_identical_to_serve_one &&
+    cargo +nightly test "$@" --target "$TARGET" \
+        -p problp-engine --test serve zero_wait_still_coalesces_a_burst &&
     cargo +nightly test "$@" --target "$TARGET" \
         -p problp-engine --test gateway \
         gateway_shutdown_is_prompt_with_an_idle_kept_alive_connection

@@ -123,7 +123,6 @@ impl Scenario {
             cold_pass: false,
             config: ServeConfig {
                 max_batch: 32,
-                max_wait: Duration::from_micros(500),
                 workers: 4,
                 ..ServeConfig::default()
             },
@@ -133,7 +132,7 @@ impl Scenario {
     }
 
     /// `BENCH_qos.json`: Alarm floods the interactive lane under a
-    /// tenant quota, priority aging and the adaptive wait. The quota
+    /// tenant quota and priority aging. The quota
     /// sits above each background tenant's share of the burst (~15%)
     /// and far below the hot tenant's ~70%, so only Alarm can trip it.
     pub fn qos(requests: usize) -> Scenario {
@@ -142,11 +141,9 @@ impl Scenario {
             shape: Shape::HotTenant,
             config: ServeConfig {
                 max_batch: 16,
-                max_wait: Duration::from_micros(300),
                 workers: 2,
                 tenant_quota: (requests / 4).max(8),
                 priority_aging: Duration::from_millis(2),
-                adaptive_wait: true,
                 ..ServeConfig::default()
             },
             ..Scenario::serving(requests)

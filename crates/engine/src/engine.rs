@@ -3,8 +3,11 @@
 //! # Lane sharding and the SoA register file
 //!
 //! [`Engine::evaluate_batch`] processes N evidence instances ("lanes")
-//! per tape sweep. Lanes are split into contiguous shards, one per worker
-//! thread (`std::thread::scope`, no dependencies); each worker owns a
+//! per tape sweep. Lanes are split into contiguous shards of at least
+//! [`MIN_LANES_PER_THREAD`] lanes, at most one per worker thread. One
+//! shard runs inline on the caller's thread; several run on scoped
+//! threads (`std::thread::scope`, no dependencies). [`run_shards`] is
+//! the one runner behind every sharded entry point. Each shard owns a
 //! structure-of-arrays register file laid out `[register][lane]`:
 //!
 //! ```text
@@ -13,7 +16,7 @@
 //!
 //! so every instruction becomes a tight loop over one destination row and
 //! up to two source rows — contiguous streams the compiler can vectorize
-//! and the prefetcher can follow. Workers further tile their shard into
+//! and the prefetcher can follow. Shards further tile their lanes into
 //! blocks of [`Engine::chunk`] lanes so the whole register file stays
 //! cache-resident regardless of batch size. Parameter constants are
 //! converted via [`Arith::from_f64`] once at engine construction and
@@ -39,7 +42,7 @@ use problp_ac::{AcGraph, Semiring};
 use problp_bayes::{Evidence, EvidenceBatch, VarId};
 use problp_num::{Arith, Flags};
 
-use crate::error::{panic_message, EngineError};
+use crate::error::{collect_worker_results, EngineError};
 use crate::fuse::{BinOp, FusedInstr, FusedTape};
 use crate::kernels::{min_nz, scalar_bin_rows, KernelKind, KernelSet};
 use crate::tape::{Instr, Tape, TapeMode};
@@ -56,6 +59,37 @@ fn default_chunk(num_regs: usize, value_bytes: usize) -> usize {
 
 /// Below this many lanes per thread, sharding costs more than it saves.
 const MIN_LANES_PER_THREAD: usize = 32;
+
+/// Runs `work` once per shard and returns the results in shard order.
+/// A single shard runs inline on the caller's thread, so a small batch
+/// pays for no thread spawn; several run one per scoped thread. Either
+/// way a panicking shard comes back as [`EngineError::WorkerPanic`]
+/// once every shard has finished, and the engine stays usable.
+pub(crate) fn run_shards<S, R>(
+    shards: impl ExactSizeIterator<Item = S>,
+    work: impl Fn(S) -> R + Sync,
+) -> Result<Vec<R>, EngineError>
+where
+    S: Send,
+    R: Send,
+{
+    let joined = if shards.len() <= 1 {
+        shards
+            .map(|shard| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(shard))))
+            .collect()
+    } else {
+        std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = shards
+                .map(|shard| scope.spawn(move || work(shard)))
+                .collect();
+            // Join every handle before leaving the scope so one
+            // panicking shard cannot re-panic the scope exit.
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
+    collect_worker_results(joined)
+}
 
 /// The default worker-thread count: all available cores, queried once
 /// per process (the query reads cgroup files on Linux, and every model
@@ -298,11 +332,15 @@ where
         Ok(())
     }
 
-    /// How many shards to use for `lanes` lanes.
-    pub(crate) fn shard_count(&self, lanes: usize) -> usize {
-        self.threads
+    /// Lanes per shard for a batch of `lanes` lanes: at most one shard
+    /// per worker thread, none below [`MIN_LANES_PER_THREAD`] lanes
+    /// unless the whole batch is, and never zero.
+    pub(crate) fn shard_len(&self, lanes: usize) -> usize {
+        let shards = self
+            .threads
             .min(lanes.div_ceil(MIN_LANES_PER_THREAD))
-            .max(1)
+            .max(1);
+        lanes.div_ceil(shards).max(1)
     }
 
     /// Evaluates every lane of the batch, returning root values in batch
@@ -326,47 +364,10 @@ where
         let lanes = batch.lanes();
         let mut values: Vec<A::Value> = vec![self.zero.clone(); lanes];
         let mut flags = self.const_flags;
-        if lanes == 0 {
-            return Ok(BatchResult { values, flags });
-        }
-
-        let shards = self.shard_count(lanes);
-        if shards <= 1 {
-            // The inline fast path honors the same WorkerPanic contract
-            // as the sharded one: a panicking arithmetic must not take
-            // down the caller's thread (values are discarded on error,
-            // the engine itself holds no mutable state).
-            let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.sweep_range(batch, 0, &mut values)
-            }))
-            .map_err(|payload| EngineError::WorkerPanic {
-                message: panic_message(payload),
-            })?;
-            flags.merge(swept);
-        } else {
-            let per = lanes.div_ceil(shards);
-            let mut slices: Vec<(usize, &mut [A::Value])> = Vec::with_capacity(shards);
-            let mut rest = values.as_mut_slice();
-            let mut start = 0;
-            while !rest.is_empty() {
-                let take = per.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                slices.push((start, head));
-                start += take;
-                rest = tail;
-            }
-            let joined = std::thread::scope(|scope| {
-                let handles: Vec<_> = slices
-                    .into_iter()
-                    .map(|(start, out)| scope.spawn(move || self.sweep_range(batch, start, out)))
-                    .collect();
-                // Join every handle before leaving the scope so one
-                // panicking shard cannot re-panic the scope exit.
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            });
-            for f in crate::error::collect_worker_results(joined)? {
-                flags.merge(f);
-            }
+        let per = self.shard_len(lanes);
+        let shards = values.chunks_mut(per).enumerate();
+        for f in run_shards(shards, |(i, out)| self.sweep_range(batch, i * per, out))? {
+            flags.merge(f);
         }
         Ok(BatchResult { values, flags })
     }
@@ -389,23 +390,14 @@ where
         let lanes = batch.lanes();
         let mut values: Vec<A::Value> = vec![self.zero.clone(); lanes];
         let mut lane_flags: Vec<Flags> = vec![Flags::new(); lanes];
-        if lanes > 0 {
-            let shards = self.shard_count(lanes);
-            let per = lanes.div_ceil(shards);
-            let joined = std::thread::scope(|scope| {
-                let value_chunks = values.chunks_mut(per);
-                let flag_chunks = lane_flags.chunks_mut(per);
-                let handles: Vec<_> = value_chunks
-                    .zip(flag_chunks)
-                    .enumerate()
-                    .map(|(i, (vals, flgs))| {
-                        scope.spawn(move || self.sweep_lane_major(batch, i * per, vals, flgs))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            });
-            crate::error::collect_worker_results(joined)?;
-        }
+        let per = self.shard_len(lanes);
+        let shards = values
+            .chunks_mut(per)
+            .zip(lane_flags.chunks_mut(per))
+            .enumerate();
+        run_shards(shards, |(i, (vals, flgs))| {
+            self.sweep_lane_major(batch, i * per, vals, flgs)
+        })?;
         let mut flags = Flags::new();
         for f in &lane_flags {
             flags.merge(*f);
@@ -821,6 +813,37 @@ mod tests {
         let batch = EvidenceBatch::new(net.var_count());
         let result = engine.evaluate_batch(&batch).unwrap();
         assert!(result.values.is_empty());
+    }
+
+    #[test]
+    fn run_shards_keeps_shard_order_and_runs_one_shard_inline() {
+        let caller = std::thread::current().id();
+        let squares = run_shards(0..5usize, |i| i * i).unwrap();
+        assert_eq!(squares, vec![0, 1, 4, 9, 16]);
+        // One shard runs on the caller's thread, several on threads of
+        // their own.
+        let ran_on = run_shards(0..1usize, |_| std::thread::current().id()).unwrap();
+        assert_eq!(ran_on, vec![caller]);
+        let ran_on = run_shards(0..3usize, |_| std::thread::current().id()).unwrap();
+        assert!(ran_on.iter().all(|&id| id != caller), "{ran_on:?}");
+    }
+
+    #[test]
+    fn run_shards_surfaces_a_panic_inline_and_scoped() {
+        for shards in [1usize, 3] {
+            let got = run_shards(0..shards, |i| {
+                if i + 1 == shards {
+                    panic!("shard {i} of {shards} failed");
+                }
+                i
+            });
+            match got {
+                Err(EngineError::WorkerPanic { message }) => {
+                    assert_eq!(message, format!("shard {} of {shards} failed", shards - 1));
+                }
+                other => panic!("{shards} shard(s): expected WorkerPanic, got {other:?}"),
+            }
+        }
     }
 
     #[test]

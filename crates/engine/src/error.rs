@@ -113,10 +113,11 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Folds a list of shard join results into either the merged worker
-/// outputs or the first panic, surfaced as [`EngineError::WorkerPanic`].
-/// Every handle must already be joined (so no panic is left to tear down
-/// a [`std::thread::scope`]) before this runs.
+/// Folds a list of shard results (joined threads or caught inline runs)
+/// into either the worker outputs or the first panic, surfaced as
+/// [`EngineError::WorkerPanic`]. Every handle must already be joined (so
+/// no panic is left to tear down a [`std::thread::scope`]) before this
+/// runs.
 pub(crate) fn collect_worker_results<T>(
     joined: Vec<std::thread::Result<T>>,
 ) -> Result<Vec<T>, EngineError> {

@@ -31,7 +31,7 @@ use problp_ac::Semiring;
 use problp_bayes::{BatchQuery, Evidence, EvidenceBatch, VarId};
 use problp_num::Flags;
 
-use crate::engine::{BatchResult, Engine};
+use crate::engine::{run_shards, BatchResult, Engine};
 use crate::error::EngineError;
 use crate::kernels::KernelSet;
 use crate::tape::{Instr, Tape, TapeMode};
@@ -283,46 +283,36 @@ where
 
         // Phase 1 (sharded): per-lane full sweep + traceback.
         let ops = trace_table(&self.tape);
-        let per = lanes.div_ceil(self.shard_count(lanes));
-        let shard_flags = std::thread::scope(|scope| {
-            let work = values
-                .chunks_mut(per)
-                .zip(assignments.chunks_mut(per))
-                .zip(decoded.chunks_mut(per))
-                .enumerate();
-            let handles: Vec<_> = work
-                .map(|(shard, ((vals, asgs), dones))| {
-                    let ops = &ops;
-                    scope.spawn(move || {
-                        let mut ctx = self.ctx.clone();
-                        ctx.clear_flags();
-                        let mut regs = self.fresh_regs();
-                        let mut f64s = vec![0.0f64; regs.len()];
-                        let lane_iter = vals.iter_mut().zip(asgs.iter_mut()).zip(dones.iter_mut());
-                        for (i, ((out_v, out_a), out_d)) in lane_iter.enumerate() {
-                            let lane = shard * per + i;
-                            self.run_instrs(&mut ctx, &mut regs, |var| {
-                                batch.column(VarId::from_index(var as usize))[lane]
-                            });
-                            *out_v = regs[self.tape.root_reg() as usize].clone();
-                            for (d, r) in f64s.iter_mut().zip(&regs) {
-                                *d = ctx.to_f64(r);
-                            }
-                            let observed = |var: usize| batch.column(VarId::from_index(var))[lane];
-                            if let Some(a) = traceback(ops, &self.tape, &f64s, observed) {
-                                *out_a = a;
-                                *out_d = true;
-                            }
-                        }
-                        ctx.flags()
-                    })
-                })
-                .collect();
-            // Join every handle before leaving the scope so one panicking
-            // shard cannot re-panic the scope exit.
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        });
-        for f in crate::error::collect_worker_results(shard_flags)? {
+        let per = self.shard_len(lanes);
+        let shards = values
+            .chunks_mut(per)
+            .zip(assignments.chunks_mut(per))
+            .zip(decoded.chunks_mut(per))
+            .enumerate();
+        let shard_flags = run_shards(shards, |(shard, ((vals, asgs), dones))| {
+            let mut ctx = self.ctx.clone();
+            ctx.clear_flags();
+            let mut regs = self.fresh_regs();
+            let mut f64s = vec![0.0f64; regs.len()];
+            let lane_iter = vals.iter_mut().zip(asgs.iter_mut()).zip(dones.iter_mut());
+            for (i, ((out_v, out_a), out_d)) in lane_iter.enumerate() {
+                let lane = shard * per + i;
+                self.run_instrs(&mut ctx, &mut regs, |var| {
+                    batch.column(VarId::from_index(var as usize))[lane]
+                });
+                *out_v = regs[self.tape.root_reg() as usize].clone();
+                for (d, r) in f64s.iter_mut().zip(&regs) {
+                    *d = ctx.to_f64(r);
+                }
+                let observed = |var: usize| batch.column(VarId::from_index(var))[lane];
+                if let Some(a) = traceback(&ops, &self.tape, &f64s, observed) {
+                    *out_a = a;
+                    *out_d = true;
+                }
+            }
+            ctx.flags()
+        })?;
+        for f in shard_flags {
             flags.merge(f);
         }
 

@@ -258,10 +258,11 @@ pub fn lane_answer_eq<V: PartialEq>(a: &LaneResult<V>, b: &LaneResult<V>) -> boo
 ///
 /// A group (all queued requests of one `(model, query, priority)`) is
 /// **ripe** once it holds `max_batch` lanes or its head-of-line request
-/// has waited the group's *effective wait* — `max_wait`, or, with
-/// `adaptive_wait`, `min(max_wait, arrival-interval EWMA × max_batch)`
-/// so a hot stream stops paying the coalescing wait its batch does not
-/// need. Among ripe groups a free dispatcher picks by
+/// has waited `max_wait`. At the default `max_wait` of zero every
+/// queued group is ripe, so a free dispatcher takes queued work at
+/// once: a lone request sweeps alone, and batches form from the
+/// requests that arrive while the dispatchers are busy sweeping. Among
+/// ripe groups a free dispatcher picks by
 /// `(priority rank, oldest head)`: [`Priority::Interactive`] before
 /// [`Priority::Batch`], except that a group whose head has waited
 /// `priority_aging` competes at the interactive rank (anti-starvation).
@@ -274,13 +275,14 @@ pub fn lane_answer_eq<V: PartialEq>(a: &LaneResult<V>, b: &LaneResult<V>) -> boo
 pub struct ServeConfig {
     /// Coalesce at most this many requests into one engine batch.
     pub max_batch: usize,
-    /// Dispatch a non-full group once its oldest request has waited this
-    /// long (the cap of the effective wait when `adaptive_wait` is on).
+    /// How long a non-full group lingers for more lanes before it is
+    /// ripe. The default, zero, dispatches queued work as soon as a
+    /// dispatcher is free; a positive linger trades each request's
+    /// latency for larger batches.
     pub max_wait: Duration,
     /// Dispatcher worker threads (each evaluates one coalesced batch at
-    /// a time). Threads *inside* each engine evaluation are a pool
-    /// property instead ([`super::CircuitPool::with_engine_threads`],
-    /// default 1): parallelism comes from the dispatcher shards.
+    /// a time). Every [`super::CircuitPool`] engine evaluates on one
+    /// thread: parallelism comes from the dispatcher shards.
     pub workers: usize,
     /// Per-tenant admission quota: at most this many lanes queued +
     /// in flight per model; the request beyond the cap is rejected with
@@ -291,11 +293,6 @@ pub struct ServeConfig {
     /// [`Priority::Batch`] group whose head-of-line request has waited
     /// this long is promoted to the interactive dispatch rank.
     pub priority_aging: Duration,
-    /// Shrink the coalescing wait of hot streams: when `true`, a
-    /// group's effective wait is `min(max_wait, EWMA × max_batch)`
-    /// (the expected time to fill its batch) instead of the flat
-    /// `max_wait`. Off by default.
-    pub adaptive_wait: bool,
     /// Entries of the exact answer cache: memoized
     /// `(model version, evidence, query) → answer` lanes, LRU-evicted
     /// beyond this capacity. A hit resolves the ticket immediately with
@@ -308,11 +305,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
-            max_wait: Duration::from_micros(500),
+            max_wait: Duration::ZERO,
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
             tenant_quota: 0,
             priority_aging: Duration::from_millis(20),
-            adaptive_wait: false,
             cache_capacity: 0,
         }
     }

@@ -69,7 +69,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) rejected_shutdown: Counter,
     pub(crate) queue_depth: Gauge,
     pub(crate) group_lanes: Histogram,
-    pub(crate) effective_wait_us: Histogram,
     pub(crate) aging_promotions: Counter,
     pub(crate) dispatches: Counter,
     /// Exact answer-cache hits (ticket resolved at admission).
@@ -162,11 +161,6 @@ impl ServeMetrics {
                 metric_names::SERVE_GROUP_LANES,
                 "lanes per dispatched group",
                 default_size_buckets(),
-            ),
-            effective_wait_us: registry.histogram(
-                metric_names::SERVE_EFFECTIVE_WAIT_US,
-                "adaptive coalescing wait applied per dispatched group, microseconds",
-                default_latency_buckets_us(),
             ),
             aging_promotions: registry.counter(
                 metric_names::SERVE_AGING_PROMOTIONS_TOTAL,

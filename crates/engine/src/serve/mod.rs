@@ -5,9 +5,9 @@
 //! Everything below `serve` evaluates **one pre-formed batch on one
 //! tape**. This module is the first cross-request, cross-model layer —
 //! the ROADMAP's "sharded multi-circuit serving" item, plus its serving
-//! *policy*: per-tenant quotas, priority lanes, an adaptive coalescing
-//! wait, and an exact `(model version, evidence, query) → answer`
-//! cache:
+//! *policy*: per-tenant quotas, priority lanes, dispatch as soon as a
+//! dispatcher is free, and an exact `(model version, evidence, query)
+//! → answer` cache:
 //!
 //! ```text
 //!            requests (model id, Evidence, BatchQuery, Priority)
@@ -18,9 +18,9 @@
 //!        └──────────────────┘   resolves the ticket immediately
 //!                │ miss
 //!                ▼
-//!        ┌──────────────────┐   per-(model, query, priority) groups
-//!        │  admission queue │   coalesced under max_batch and an
-//!        └──────────────────┘   adaptive (EWMA-driven) max_wait
+//!        ┌──────────────────┐   per-(model, query, priority) groups;
+//!        │  admission queue │   a free dispatcher takes one at once,
+//!        └──────────────────┘   up to max_batch lanes
 //!                │ ripe group → EvidenceBatch
 //!                ▼               (Interactive first, aged groups win)
 //!        ┌──────────────────┐   N dispatcher workers, each evaluating
@@ -46,8 +46,7 @@
 //!   [`ServeResponse`], [`ServeError`], [`Priority`], [`ServeConfig`],
 //!   [`LaneResult`] and [`lane_answer_eq`].
 //! * `queue.rs` — the admission queue proper: coalescing groups, the
-//!   quota books, per-stream arrival EWMAs, the effective-wait /
-//!   dispatch-rank policy functions and `take_job`.
+//!   quota books, the dispatch-rank policy function and `take_job`.
 //! * `dispatch.rs` — the dispatcher shards: the worker loop, batch
 //!   evaluation, per-lane result routing and cache fill.
 //! * `ticket.rs` — [`Ticket`], the per-request receipt.
@@ -73,10 +72,11 @@
 //! * [`Server`] owns the admission queue and the dispatcher shards.
 //!   [`Server::submit`] enqueues one [`ServeRequest`] and returns a
 //!   [`Ticket`]; requests to the same `(model, query, priority)` group
-//!   are coalesced into one [`problp_bayes::EvidenceBatch`] once
-//!   `max_batch` lanes are waiting or the oldest has waited the group's
-//!   effective wait, evaluated by a worker, and routed back lane by
-//!   lane.
+//!   are coalesced into one [`problp_bayes::EvidenceBatch`] of at most
+//!   `max_batch` lanes, evaluated by the next free worker, and routed
+//!   back lane by lane. Batches form from the requests that arrive
+//!   while every worker is busy; an opt-in [`ServeConfig::max_wait`]
+//!   linger holds a non-full group back for more.
 //!
 //! # Scheduling policy
 //!
@@ -95,13 +95,12 @@
 //!   rank, so a continuously-full high-priority tenant can delay a
 //!   low-priority group by at most the aging bound (plus the
 //!   evaluation already on the dispatcher).
-//! * **Adaptive max_wait** ([`ServeConfig::adaptive_wait`]): each
-//!   `(model, query, priority)` stream keeps an arrival-interval EWMA;
-//!   a group's effective coalescing wait is
-//!   `min(max_wait, ewma_interval × max_batch)` — the expected time to
-//!   fill a batch. A hot stream therefore waits ~no longer than its
-//!   batch needs to fill (toward zero), while an idle stream grows
-//!   back to the configured `max_wait` cap.
+//! * **No coalescing timer by default** ([`ServeConfig::max_wait`] is
+//!   zero): a free dispatcher takes the best-ranked queued group at
+//!   once, so a lone request never waits for a batch that will not
+//!   form, and a burst still coalesces behind the sweeps already
+//!   running. A positive `max_wait` makes a non-full group linger that
+//!   long first.
 //!
 //! None of the policy knobs changes any answer — they only reorder,
 //! reject, or re-time dispatch (`tests/serve.rs` pins bit-identity to

@@ -57,7 +57,6 @@ pub(crate) struct Tenant<A: Arith> {
 /// work already queued against the previous version.
 pub struct CircuitPool<A: Arith> {
     ctx: A,
-    engine_threads: usize,
     tenants: RwLock<HashMap<String, Arc<Tenant<A>>>>,
 }
 
@@ -70,18 +69,8 @@ where
     pub fn new(ctx: A) -> Self {
         CircuitPool {
             ctx,
-            engine_threads: 1,
             tenants: RwLock::new(HashMap::new()),
         }
-    }
-
-    /// Sets the thread cap of every engine registered *after* this call
-    /// (`0` = all cores). The default of 1 keeps engine evaluations
-    /// single-threaded so the dispatcher shards stay the unit of
-    /// parallelism.
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        self.engine_threads = threads;
-        self
     }
 
     /// The evaluator core [`CircuitPool::register`] and
@@ -99,17 +88,18 @@ where
     }
 
     /// Compiles and fuses both serving engines for `ac` under the pool's
-    /// context and threads — the shared build step of [`register`] and
-    /// [`reload`].
+    /// context — the shared build step of [`register`] and [`reload`].
+    /// Each engine sweeps on one thread: the dispatcher shards are the
+    /// unit of parallelism.
     ///
     /// [`register`]: CircuitPool::register
     /// [`reload`]: CircuitPool::reload
     fn compile_engines(&self, ac: &AcGraph) -> Result<(Engine<A>, Engine<A>), EngineError> {
         let sum = Engine::from_graph(ac, Semiring::SumProduct, self.ctx.clone())?
-            .with_threads(self.engine_threads)
+            .with_threads(1)
             .with_kernel(KernelKind::Fused);
         let mpe = Engine::from_graph_full(ac, Semiring::MaxProduct, self.ctx.clone())?
-            .with_threads(self.engine_threads)
+            .with_threads(1)
             .with_kernel(KernelKind::Fused);
         Ok((sum, mpe))
     }

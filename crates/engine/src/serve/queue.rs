@@ -1,13 +1,14 @@
 //! The admission queue proper: per-`(model, query, priority)`
-//! coalescing groups in columnar form, the quota books and per-stream
-//! arrival EWMAs that must stay consistent with them under one lock,
-//! and the scheduling-policy functions ([`effective_wait`],
-//! [`dispatch_rank`], [`take_job`]) the dispatcher shards drive.
+//! coalescing groups in columnar form, the quota books that must stay
+//! consistent with them under one lock, and the scheduling-policy
+//! functions ([`dispatch_rank`], [`take_job`], [`next_deadline`]) the
+//! dispatcher shards drive. With the default zero `max_wait`, every
+//! queued group is ripe, so a free dispatcher never waits on a timer.
 
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use problp_bayes::{BatchQuery, EvidenceBatch};
 use problp_num::Arith;
@@ -41,48 +42,13 @@ pub(crate) struct Group<A: Arith> {
     pub(crate) waiters: Vec<Waiter<A::Value>>,
 }
 
-/// The arrival-rate tracker of one `(model, query, priority)` request
-/// stream, persisting across the stream's coalescing groups: an EWMA of
-/// the inter-arrival interval, driving the adaptive effective wait.
-pub(crate) struct ArrivalStats {
-    model: String,
-    query: BatchQuery,
-    priority: Priority,
-    /// When the stream's latest request arrived.
-    last: Instant,
-    /// EWMA of the inter-arrival interval, microseconds.
-    ewma_us: f64,
-}
-
-/// EWMA smoothing factor of the arrival-interval tracker: new intervals
-/// get this weight, history the rest. At 0.25, four hot arrivals erase
-/// ~70% of an idle spell's memory.
-const ARRIVAL_EWMA_ALPHA: f64 = 0.25;
-
-impl ArrivalStats {
-    /// Folds one arrival into the EWMA. Intervals are clamped to
-    /// `max_wait` so a long idle gap counts as "fully idle" once
-    /// instead of pinning the average high for many arrivals.
-    fn note(&mut self, now: Instant, max_wait: Duration) {
-        let cap_us = max_wait.as_secs_f64() * 1e6;
-        let interval_us =
-            (now.saturating_duration_since(self.last).as_secs_f64() * 1e6).min(cap_us.max(1.0));
-        self.ewma_us = ARRIVAL_EWMA_ALPHA * interval_us + (1.0 - ARRIVAL_EWMA_ALPHA) * self.ewma_us;
-        self.last = now;
-    }
-}
-
-/// The admission queue proper, plus the QoS bookkeeping that must stay
+/// The admission queue proper, plus the quota books that must stay
 /// consistent with it under one lock: per-tenant lane counts (queued +
-/// in flight, for quotas) and per-stream arrival EWMAs (for the
-/// adaptive wait).
+/// in flight).
 pub(crate) struct QueueState<A: Arith> {
     pub(crate) groups: Vec<Group<A>>,
     /// Lanes queued + in flight per model id; the quota denominator.
     pub(crate) tenant_lanes: HashMap<String, usize>,
-    /// Per-stream arrival trackers (linear scan: streams are few —
-    /// models × query kinds × priority classes).
-    pub(crate) arrivals: Vec<ArrivalStats>,
     pub(crate) shutdown: bool,
 }
 
@@ -92,47 +58,8 @@ impl<A: Arith> QueueState<A> {
         QueueState {
             groups: Vec::new(),
             tenant_lanes: HashMap::new(),
-            arrivals: Vec::new(),
             shutdown: false,
         }
-    }
-
-    /// Records one arrival on the `(model, query, priority)` stream,
-    /// folding it into the stream's interval EWMA.
-    pub(crate) fn note_arrival(
-        &mut self,
-        model: &str,
-        query: BatchQuery,
-        priority: Priority,
-        now: Instant,
-        max_wait: Duration,
-    ) {
-        match self
-            .arrivals
-            .iter_mut()
-            .find(|s| s.model == model && s.query == query && s.priority == priority)
-        {
-            Some(s) => s.note(now, max_wait),
-            None => {
-                // First arrival: start at the cap (treat the stream as
-                // idle) and let heat shrink the wait from there.
-                self.arrivals.push(ArrivalStats {
-                    model: model.to_string(),
-                    query,
-                    priority,
-                    last: now,
-                    ewma_us: (max_wait.as_secs_f64() * 1e6).max(1.0),
-                });
-            }
-        }
-    }
-
-    /// The arrival-interval EWMA of a group's stream, if tracked.
-    fn arrival_ewma_us(&self, g: &Group<A>) -> Option<f64> {
-        self.arrivals
-            .iter()
-            .find(|s| s.model == g.model && s.query == g.query && s.priority == g.priority)
-            .map(|s| s.ewma_us)
     }
 }
 
@@ -158,29 +85,6 @@ pub(crate) fn lock_queue<A: Arith>(queue: &Mutex<QueueState<A>>) -> MutexGuard<'
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The effective coalescing wait of one group: the flat `max_wait`, or
-/// — under the adaptive policy — the expected time for the group's
-/// stream to fill a `max_batch` batch (`EWMA interval × max_batch`),
-/// capped at `max_wait`. A hot stream therefore dispatches almost
-/// immediately (its batch fills anyway), while an idle one keeps the
-/// full coalescing window.
-pub(crate) fn effective_wait<A: Arith>(
-    q: &QueueState<A>,
-    config: &ServeConfig,
-    g: &Group<A>,
-) -> Duration {
-    if !config.adaptive_wait {
-        return config.max_wait;
-    }
-    let Some(ewma_us) = q.arrival_ewma_us(g) else {
-        return config.max_wait;
-    };
-    let fill_us = ewma_us * config.max_batch.max(1) as f64;
-    config
-        .max_wait
-        .min(Duration::from_micros(fill_us.max(0.0) as u64))
-}
-
 /// The dispatch rank of a ripe group: its priority class, except that a
 /// group whose head-of-line request has waited `priority_aging` is
 /// promoted to the top class — the anti-starvation bound that keeps a
@@ -200,8 +104,8 @@ pub(crate) fn dispatch_rank<A: Arith>(
 }
 
 /// Pops a dispatchable job: a group with `max_batch` lanes waiting, one
-/// whose oldest request has waited its effective wait (see
-/// [`effective_wait`]), or — when `flush` — any non-empty group. Among
+/// whose oldest request has waited `max_wait` (any group, at the
+/// default zero wait), or — when `flush` — any non-empty group. Among
 /// dispatchable groups the highest [`dispatch_rank`] wins
 /// (Interactive before Batch, aged groups promoted), ties broken by the
 /// oldest head-of-line request — so a continuously-full tenant cannot
@@ -222,18 +126,14 @@ pub(crate) fn take_job<A: Arith>(
             !g.waiters.is_empty()
                 && (flush
                     || g.waiters.len() >= max_batch
-                    || now.duration_since(g.waiters[0].enqueued) >= effective_wait(q, config, g))
+                    || now.duration_since(g.waiters[0].enqueued) >= config.max_wait)
         })
         .min_by_key(|(_, g)| (dispatch_rank(g, now, config), g.waiters[0].enqueued))
         .map(|(i, _)| i)?;
     {
-        // Coalescing observations for the picked group, before it is
-        // consumed: how long it was allowed to wait, and whether aging
-        // promoted it past its nominal class.
+        // Whether aging promoted the picked group past its nominal
+        // class, observed before the group is consumed.
         let g = &q.groups[idx];
-        metrics
-            .effective_wait_us
-            .observe_duration(effective_wait(q, config, g));
         if g.priority == Priority::Batch && dispatch_rank(g, now, config) == Priority::Interactive {
             metrics.aging_promotions.inc();
         }
@@ -270,16 +170,12 @@ pub(crate) fn take_job<A: Arith>(
     Some(job)
 }
 
-/// The next instant at which some group's oldest request hits its
-/// effective wait.
+/// The next instant at which some group's oldest request has waited
+/// `max_wait`.
 pub(crate) fn next_deadline<A: Arith>(q: &QueueState<A>, config: &ServeConfig) -> Option<Instant> {
     q.groups
         .iter()
-        .filter_map(|g| {
-            g.waiters
-                .first()
-                .map(|w| w.enqueued + effective_wait(q, config, g))
-        })
+        .filter_map(|g| g.waiters.first().map(|w| w.enqueued + config.max_wait))
         .min()
 }
 
@@ -290,6 +186,7 @@ mod tests {
     use problp_bayes::Evidence;
     use problp_num::F64Arith;
     use problp_telemetry::MetricsRegistry;
+    use std::time::Duration;
 
     #[test]
     fn priority_orders_ripe_groups_and_aging_promotes() {
@@ -386,69 +283,5 @@ mod tests {
         // And beyond it, of course.
         let aged = group_with_head(now - aging - Duration::from_millis(1));
         assert_eq!(dispatch_rank(&aged, now, &config), Priority::Interactive);
-    }
-
-    #[test]
-    fn adaptive_wait_shrinks_when_hot_and_caps_when_idle() {
-        let pool = two_model_pool();
-        let tenant = pool.tenant("sprinkler").unwrap();
-        let config = ServeConfig {
-            max_batch: 16,
-            max_wait: Duration::from_millis(10),
-            adaptive_wait: true,
-            ..ServeConfig::default()
-        };
-        let mut q = QueueState::<F64Arith>::new();
-        let g = Group::<F64Arith> {
-            tenant: Arc::clone(&tenant),
-            model: "m".to_string(),
-            query: BatchQuery::Marginal,
-            priority: Priority::Interactive,
-            batch: EvidenceBatch::new(4),
-            waiters: Vec::new(),
-        };
-        // Untracked stream: the flat cap.
-        assert_eq!(effective_wait(&q, &config, &g), config.max_wait);
-        // First arrival starts at the cap (idle assumption)...
-        let t0 = Instant::now();
-        q.note_arrival(
-            "m",
-            BatchQuery::Marginal,
-            Priority::Interactive,
-            t0,
-            config.max_wait,
-        );
-        assert_eq!(effective_wait(&q, &config, &g), config.max_wait);
-        // ...then a burst of back-to-back arrivals drives the EWMA (and
-        // with it the effective wait) down hard.
-        for i in 1..=40u64 {
-            q.note_arrival(
-                "m",
-                BatchQuery::Marginal,
-                Priority::Interactive,
-                t0 + Duration::from_micros(i * 5),
-                config.max_wait,
-            );
-        }
-        let hot = effective_wait(&q, &config, &g);
-        assert!(
-            hot < config.max_wait / 10,
-            "hot stream still waits {hot:?} of {:?}",
-            config.max_wait
-        );
-        // An idle spell (clamped to one max_wait per arrival) grows the
-        // wait back toward the cap.
-        let mut t = t0 + Duration::from_secs(60);
-        for _ in 0..40 {
-            q.note_arrival(
-                "m",
-                BatchQuery::Marginal,
-                Priority::Interactive,
-                t,
-                config.max_wait,
-            );
-            t += Duration::from_secs(1);
-        }
-        assert_eq!(effective_wait(&q, &config, &g), config.max_wait);
     }
 }

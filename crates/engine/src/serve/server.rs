@@ -252,9 +252,9 @@ where
                 }
                 metrics.cache_misses.inc();
             }
-            // The quota and EWMA books are only kept when their policy
-            // is on: with the default config, submit does no extra work
-            // under the admission lock.
+            // The quota books are only kept when a quota is set: with
+            // the default config, submit does no extra work under the
+            // admission lock.
             let now = Instant::now();
             if config.tenant_quota > 0 {
                 // One lookup, and the key is only cloned on a tenant's
@@ -276,9 +276,6 @@ where
                         metrics.tenant_gauge(&req.model).set(1);
                     }
                 }
-            }
-            if config.adaptive_wait {
-                q.note_arrival(&req.model, req.query, req.priority, now, config.max_wait);
             }
             let waiter = Waiter { enqueued: now, tx };
             // Coalescing matches the tenant by pointer: requests

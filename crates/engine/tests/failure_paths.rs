@@ -133,11 +133,17 @@ fn evaluate_batch_flagged_surfaces_worker_panics_as_errors() {
     let engine = Engine::from_graph(&ac, Semiring::SumProduct, PanicArith)
         .unwrap()
         .with_threads(2);
-    let batch = wide_batch(&net, 64);
-    assert!(matches!(
-        engine.evaluate_batch_flagged(&batch),
-        Err(EngineError::WorkerPanic { .. })
-    ));
+    // 64 lanes shard onto two scoped threads; 1 lane runs inline.
+    for lanes in [64, 1] {
+        let batch = wide_batch(&net, lanes);
+        assert!(
+            matches!(
+                engine.evaluate_batch_flagged(&batch),
+                Err(EngineError::WorkerPanic { .. })
+            ),
+            "{lanes} lane(s)"
+        );
+    }
 }
 
 #[test]
@@ -147,14 +153,16 @@ fn mpe_batch_surfaces_worker_panics_as_errors() {
     let engine = Engine::from_graph_full(&ac, Semiring::MaxProduct, PanicArith)
         .unwrap()
         .with_threads(2);
-    // mpe_batch always dispatches its phase-1 sweeps to scoped workers,
-    // so even a single lane exercises the join path.
-    let batch = wide_batch(&net, 1);
-    match engine.mpe_batch(&batch) {
-        Err(EngineError::WorkerPanic { message }) => {
-            assert!(message.contains("injected arithmetic fault"), "{message}");
+    // 1 lane runs phase 1 inline; 64 lanes shard onto two scoped
+    // threads.
+    for lanes in [1, 64] {
+        let batch = wide_batch(&net, lanes);
+        match engine.mpe_batch(&batch) {
+            Err(EngineError::WorkerPanic { message }) => {
+                assert!(message.contains("injected arithmetic fault"), "{message}");
+            }
+            other => panic!("{lanes} lane(s): expected WorkerPanic, got {other:?}"),
         }
-        other => panic!("expected WorkerPanic, got {other:?}"),
     }
 }
 

@@ -1,8 +1,8 @@
 //! Property tests for the serving layer: answers coalesced by the
 //! admission queue are bit-identical to serving each request alone —
 //! per model, per query kind, per arithmetic, and under **every QoS
-//! policy combination** (per-tenant quotas, priority lanes, adaptive
-//! max_wait, and the exact answer cache). Policy knobs may reorder,
+//! policy combination** (per-tenant quotas, priority lanes, the
+//! default zero wait or a linger, and the exact answer cache). Policy knobs may reorder,
 //! reject or memoize work, never change an answer. Plus two
 //! deterministic checks: a saturating Interactive tenant cannot delay a
 //! Batch group past the aging bound, and a mid-trace hot swap
@@ -39,7 +39,7 @@ fn evidence_from_picks(net: &problp_bayes::BayesNet, picks: &[usize]) -> Evidenc
 type TracePick = (usize, usize, usize, Vec<usize>);
 
 /// The full policy surface the scheduler can be configured with:
-/// batching, sharding, quotas, aging and the adaptive wait.
+/// batching, sharding, quotas, aging and the coalescing wait.
 #[derive(Clone, Copy, Debug)]
 struct PolicyPick {
     max_batch: usize,
@@ -48,7 +48,9 @@ struct PolicyPick {
     /// reject most of a burst).
     tenant_quota: usize,
     aging_us: u64,
-    adaptive_wait: bool,
+    /// 0 = the default (a free dispatcher takes queued work at once),
+    /// else a linger.
+    max_wait_us: u64,
     /// 0 = cache off; a tiny capacity (constant LRU churn) and a
     /// capacity larger than any trace are both generated. Cache hits
     /// must be indistinguishable from re-evaluation, bit for bit.
@@ -76,17 +78,17 @@ fn trace_strategy() -> impl Strategy<Value = (Vec<TracePick>, PolicyPick)> {
                 0u64..3,   // aging pick
             ),
             (
-                any::<bool>(), // adaptive max_wait
-                0usize..3,     // cache pick: off | churning | ample
+                0usize..2, // max_wait pick: 0 | 100 µs
+                0usize..3, // cache pick: off | churning | ample
             ),
         )
             .prop_map(
-                |((max_batch, workers, quota, aging), (adaptive_wait, cache))| PolicyPick {
+                |((max_batch, workers, quota, aging), (wait, cache))| PolicyPick {
                     max_batch,
                     workers,
                     tenant_quota: quota * 5,
                     aging_us: [200, 2_000, 50_000][aging as usize],
-                    adaptive_wait,
+                    max_wait_us: [0, 100][wait],
                     cache_capacity: [0, 3, 256][cache],
                 },
             ),
@@ -114,11 +116,10 @@ where
         pool,
         ServeConfig {
             max_batch: policy.max_batch,
-            max_wait: Duration::from_micros(100),
+            max_wait: Duration::from_micros(policy.max_wait_us),
             workers: policy.workers,
             tenant_quota: policy.tenant_quota,
             priority_aging: Duration::from_micros(policy.aging_us),
-            adaptive_wait: policy.adaptive_wait,
             cache_capacity: policy.cache_capacity,
         },
     );
@@ -196,7 +197,7 @@ proptest! {
 
     /// Coalesced f64 serving is bit-identical to per-request serving,
     /// for every model, query kind, priority mix and QoS policy
-    /// (quota × aging × adaptive-wait × batching × shard count).
+    /// (quota × aging × max_wait × batching × shard count).
     #[test]
     fn coalesced_answers_match_per_request_answers_f64(
         (trace, policy) in trace_strategy()
@@ -213,6 +214,84 @@ proptest! {
         let format = FixedFormat::new(1, 10).unwrap();
         check_trace(FixedArith::new(format), &trace, policy)?;
     }
+}
+
+/// At the default zero wait, a free dispatcher takes a lone request at
+/// once: 200 serial round trips pay no coalescing timer (a 500 µs one
+/// alone would take 100 ms).
+#[test]
+fn lone_requests_are_not_paced_by_a_coalescing_timer() {
+    let net = networks::sprinkler();
+    let mut pool = CircuitPool::new(F64Arith::new());
+    pool.register("sprinkler", &compile(&net).unwrap()).unwrap();
+    let server = Server::start(
+        pool,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let request = ServeRequest {
+        model: "sprinkler".to_string(),
+        evidence: Evidence::empty(net.var_count()),
+        query: BatchQuery::Marginal,
+        priority: Priority::Interactive,
+    };
+    let alone = server.pool().serve_one(&request);
+    // One untimed round trip first: the dispatcher thread's first wake.
+    let warm = server.submit(request.clone()).unwrap().wait();
+    assert!(lane_answer_eq(&alone, &warm), "{alone:?} vs {warm:?}");
+    let started = Instant::now();
+    for _ in 0..200 {
+        let got = server.submit(request.clone()).unwrap().wait();
+        assert!(lane_answer_eq(&alone, &got), "{alone:?} vs {got:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(60),
+        "200 serial round trips took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+/// Zero wait still batches: while a dispatcher sweeps, a burst queues
+/// behind it and the next free dispatcher takes up to `max_batch` of it
+/// at once. Alarm's sweep is long enough for the burst to pile up.
+#[test]
+fn zero_wait_still_coalesces_a_burst() {
+    let net = networks::alarm(7);
+    let mut pool = CircuitPool::new(F64Arith::new());
+    pool.register("alarm", &compile(&net).unwrap()).unwrap();
+    let server = Server::start(
+        pool,
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let arities: Vec<usize> = (0..net.var_count())
+        .map(|v| net.variable(VarId::from_index(v)).arity())
+        .collect();
+    let evidences = problp_bayes::single_variable_evidences(&arities);
+    let requests: Vec<ServeRequest> = (0..256)
+        .map(|i| ServeRequest {
+            model: "alarm".to_string(),
+            evidence: evidences[i % evidences.len()].clone(),
+            query: BatchQuery::Marginal,
+            priority: Priority::Interactive,
+        })
+        .collect();
+    let served = server.serve_all(&requests);
+    for (req, got) in requests.iter().zip(&served) {
+        let alone = server.pool().serve_one(req);
+        assert!(lane_answer_eq(&alone, got), "{req:?}: {alone:?} vs {got:?}");
+    }
+    let dispatches = server.stats().dispatches;
+    assert!(
+        dispatches <= 32,
+        "256 requests took {dispatches} dispatches"
+    );
+    server.shutdown();
 }
 
 /// Deterministic anti-starvation check: one dispatcher, an Interactive

@@ -81,9 +81,6 @@ pub mod metric_names {
     pub const SERVE_QUEUE_DEPTH: &str = "problp_serve_queue_depth";
     /// Histogram: lanes per dispatched group (coalescing effectiveness).
     pub const SERVE_GROUP_LANES: &str = "problp_serve_group_lanes";
-    /// Histogram: the adaptive coalescing wait actually applied per
-    /// dispatched group, microseconds.
-    pub const SERVE_EFFECTIVE_WAIT_US: &str = "problp_serve_effective_wait_us";
     /// Counter: batch groups promoted to interactive rank by priority
     /// aging before dispatch.
     pub const SERVE_AGING_PROMOTIONS_TOTAL: &str = "problp_serve_aging_promotions_total";

@@ -11,9 +11,9 @@
 //!                   [--kernel scalar|fused]
 //! problp accuracy   [--dataset HAR|UNIMIB|UIWADS] [--instances 300]
 //! problp serve-sim  --models sprinkler,asia [--requests 512] [--max-batch 32]
-//!                   [--max-wait-us 500] [--workers 4] [--seed 7]
+//!                   [--max-wait-us 0] [--workers 4] [--seed 7]
 //!                   [--tenant-quota 0] [--batch-share 0] [--aging-us 20000]
-//!                   [--adaptive-wait] [--cache-capacity 0] [--reload-mid-trace]
+//!                   [--cache-capacity 0] [--reload-mid-trace]
 //!                   [--metrics-addr 127.0.0.1:0] [--linger-ms 0] [--bench-json FILE]
 //! problp serve-http --models sprinkler,asia [--addr 127.0.0.1:0]
 //!                   [--tokens TOK=MODEL,...] [--http-workers 4] [--self-drive N]
@@ -117,9 +117,9 @@ fn usage() -> ExitCode {
   problp serve-sim  --models NAME|FILE[,NAME|FILE...] [--requests N]
                     [--max-batch N] [--max-wait-us N] [--workers N] [--seed N]
                     [--tenant-quota N] [--batch-share PCT] [--aging-us N]
-                    [--adaptive-wait] [--cache-capacity N]
-                    [--reload-mid-trace] [--metrics-addr HOST:PORT]
-                    [--linger-ms N] [--bench-json FILE]
+                    [--cache-capacity N] [--reload-mid-trace]
+                    [--metrics-addr HOST:PORT] [--linger-ms N]
+                    [--bench-json FILE]
   problp serve-http --models NAME|FILE[,NAME|FILE...] [--addr HOST:PORT]
                     [--tokens TOK=MODEL[,TOK=MODEL...]] [--http-workers N]
                     [--max-batch N] [--max-wait-us N] [--workers N]
@@ -183,13 +183,12 @@ fn main() -> ExitCode {
     let mut models: Option<String> = None;
     let mut requests = 512usize;
     let mut max_batch = 32usize;
-    let mut max_wait_us = 500u64;
+    let mut max_wait_us = 0u64;
     let mut workers = 4usize;
     let mut seed = 7u64;
     let mut tenant_quota = 0usize;
     let mut batch_share = 0u32;
     let mut aging_us = 20_000u64;
-    let mut adaptive_wait = false;
     let mut cache_capacity = 0usize;
     let mut reload_mid_trace = false;
     let mut metrics_addr: Option<String> = None;
@@ -266,7 +265,6 @@ fn main() -> ExitCode {
                 };
                 aging_us = n;
             }
-            "--adaptive-wait" => adaptive_wait = true,
             "--cache-capacity" => {
                 let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
                     return usage();
@@ -437,7 +435,6 @@ fn main() -> ExitCode {
                 cold_pass: false,
                 config: ServeConfig {
                     priority_aging: Duration::from_micros(aging_us),
-                    adaptive_wait,
                     ..config
                 },
                 transport: Transport::InProcess,

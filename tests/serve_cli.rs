@@ -6,15 +6,13 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// The smokes' shared policy: two small models, a small batch, a short
-/// wait and two dispatcher workers.
-const POLICY: [&str; 8] = [
+/// The smokes' shared policy: two small models, a small batch and two
+/// dispatcher workers, at the default (zero) wait.
+const POLICY: [&str; 6] = [
     "--models",
     "sprinkler,asia",
     "--max-batch",
     "16",
-    "--max-wait-us",
-    "200",
     "--workers",
     "2",
 ];
@@ -76,10 +74,9 @@ fn qos_serve_sim_books_its_quota_rejects() {
         "30",
         "--aging-us",
         "2000",
-        "--adaptive-wait",
     ]);
     assert!(
-        out.contains("tenant_quota: 24, priority_aging: 2ms, adaptive_wait: true"),
+        out.contains("tenant_quota: 24, priority_aging: 2ms"),
         "{out}"
     );
     assert!(out.contains("quota rejects: "), "{out}");
