@@ -32,9 +32,10 @@ pub enum BatchQuery {
     Mpe,
     /// The posterior `Pr(q = s | e)` for every state `s` of `query_var`,
     /// served as one joint (numerator) lane per state over a shared
-    /// marginal (denominator) lane.
+    /// marginal (denominator) lane ([`EvidenceBatch::with_state_blocks`]).
     Conditional {
-        /// The query variable `q` (left unobserved in the batch).
+        /// The query variable `q`; an observation of it in the batch is
+        /// ignored.
         query_var: VarId,
     },
 }
@@ -227,29 +228,44 @@ impl EvidenceBatch {
         e
     }
 
-    /// Observes `var` to `state` in every lane, in place — how a serving
-    /// loop steps one working copy through the numerator batches of a
-    /// conditional query without recloning per state.
+    /// The lane-expanded batch of a conditional query on `var` with
+    /// `states` states: `states + 1` blocks of [`EvidenceBatch::lanes`]
+    /// lanes each, built in one pass. Block 0 is this batch with `var`
+    /// unobserved in every lane (the marginals `Pr(e)`); block `1 + s`
+    /// is this batch with `var` observed to `s` in every lane (the
+    /// joints `Pr(var = s, e)`). Sweeping it once serves every lane's
+    /// posterior over `var`.
     ///
     /// # Panics
     ///
     /// Panics if `var` is out of range.
-    pub fn observe_all(&mut self, var: VarId, state: usize) {
-        for s in &mut self.columns[var.index()] {
-            *s = state as i32;
+    pub fn with_state_blocks(&self, var: VarId, states: usize) -> Self {
+        assert!(var.index() < self.var_count, "variable out of range");
+        let blocks = states + 1;
+        let columns = self
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(v, col)| {
+                let mut out = Vec::with_capacity(col.len() * blocks);
+                if v == var.index() {
+                    out.resize(col.len(), UNOBSERVED);
+                    for s in 0..states {
+                        out.resize(out.len() + col.len(), s as i32);
+                    }
+                } else {
+                    for _ in 0..blocks {
+                        out.extend_from_slice(col);
+                    }
+                }
+                out
+            })
+            .collect();
+        EvidenceBatch {
+            var_count: self.var_count,
+            lanes: self.lanes * blocks,
+            columns,
         }
-    }
-
-    /// A copy of the batch with `var` observed to `state` in every lane —
-    /// the numerator batches of conditional queries, `Pr(q = s, e)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is out of range.
-    pub fn with_observed(&self, var: VarId, state: usize) -> Self {
-        let mut out = self.clone();
-        out.observe_all(var, state);
-        out
     }
 
     /// Appends every lane of `other`, in order — the inverse of
@@ -365,14 +381,22 @@ mod tests {
     }
 
     #[test]
-    fn with_observed_overrides_every_lane() {
+    fn with_state_blocks_unobserves_then_clamps_each_block() {
         let mut e = Evidence::empty(2);
         e.observe(v(0), 0);
+        e.observe(v(1), 1);
         let batch = EvidenceBatch::from_evidences(2, &[Evidence::empty(2), e]).unwrap();
-        let forced = batch.with_observed(v(0), 1);
-        assert_eq!(forced.column(v(0)), &[1, 1]);
-        // Original untouched.
+        let blocks = batch.with_state_blocks(v(0), 2);
+        assert_eq!(blocks.lanes(), 6);
+        // The marginal block drops the query variable's own observation.
+        assert_eq!(blocks.column(v(0)), &[UNOBSERVED, UNOBSERVED, 0, 0, 1, 1]);
+        assert_eq!(
+            blocks.column(v(1)),
+            &[UNOBSERVED, 1, UNOBSERVED, 1, UNOBSERVED, 1]
+        );
+        // Original untouched; an empty batch stays empty.
         assert_eq!(batch.column(v(0)), &[UNOBSERVED, 0]);
+        assert!(EvidenceBatch::new(2).with_state_blocks(v(1), 3).is_empty());
     }
 
     #[test]

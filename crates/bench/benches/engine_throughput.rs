@@ -1,17 +1,19 @@
 //! Criterion bench for the `problp-engine` execution subsystem: scalar
 //! tree-walk vs single-lane tape vs batched multi-threaded tape on the
-//! Alarm circuit, at batch sizes 1 / 64 / 1024.
+//! Alarm circuit, at batch sizes 1 / 64 / 1024, plus the UniMiB
+//! classifier's conditional and MPE serving paths at 1 / 64 lanes on
+//! engines built the way the serving pool builds them.
 //!
 //! The per-`iter` unit is "evaluate the whole batch", so compare
 //! like-sized rows: `scalar_tree_walk/1024` vs `tape_batched/1024` is the
-//! headline (the ISSUE's >= 5x acceptance line).
+//! headline (batched ≥ 5x the tree-walk).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use problp_ac::{compile, transform::binarize, Semiring};
 use problp_bayes::{Evidence, EvidenceBatch};
-use problp_engine::Engine;
+use problp_engine::{Engine, KernelKind};
 use problp_num::F64Arith;
 
 /// Builds the Alarm circuit and a cycle of single-variable evidences.
@@ -69,5 +71,43 @@ fn bench_engine_throughput(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_engine_throughput);
+/// The UniMiB classifier's query paths on engines built as
+/// `CircuitPool` builds them (fused kernel, one thread): the class
+/// posterior of every lane (one sweep over the marginal and one joint
+/// block per state) and the MPE decode (traceback plus verification).
+fn bench_query_paths(c: &mut Criterion) {
+    let bench = problp_data::unimib_benchmark(7);
+    let ac = compile(&bench.net).expect("UniMiB compiles");
+    let var_count = ac.var_count();
+    let pooled = |engine: Result<Engine<F64Arith>, _>| {
+        engine
+            .expect("UniMiB compiles to a tape")
+            .with_threads(1)
+            .with_kernel(KernelKind::Fused)
+    };
+    let sum = pooled(Engine::from_graph(
+        &ac,
+        Semiring::SumProduct,
+        F64Arith::new(),
+    ));
+    let mpe = pooled(Engine::from_graph_full(
+        &ac,
+        Semiring::MaxProduct,
+        F64Arith::new(),
+    ));
+    for lanes in [1usize, 64] {
+        let batch = batch_of(&bench.test_evidence, var_count, lanes);
+        c.bench_function(&format!("unimib_conditional/{lanes}"), |b| {
+            b.iter(|| {
+                let cond = sum.conditional_batch(black_box(&batch), bench.query_var);
+                black_box(cond.unwrap().predictions)
+            })
+        });
+        c.bench_function(&format!("unimib_mpe/{lanes}"), |b| {
+            b.iter(|| black_box(mpe.mpe_batch(black_box(&batch)).unwrap().assignments))
+        });
+    }
+}
+
+criterion_group!(benches, bench_engine_throughput, bench_query_paths);
 criterion_main!(benches);

@@ -545,10 +545,11 @@ pub struct AccuracyStudy {
 
 /// Runs the end-to-end batched serving path on a classifier benchmark:
 /// the labeled test split is packed into one columnar batch
-/// ([`problp_bayes::EvidenceBatch::from_dataset`]), and for each precision the engine
-/// serves the class posterior of every instance as joint/marginal lane
-/// pairs ([`problp_engine::Engine::conditional_batch`]); the per-lane
-/// joint argmax is the prediction. This is the classifier-accuracy
+/// ([`problp_bayes::EvidenceBatch::from_dataset`]), and for each
+/// precision the engine serves the class posterior of every instance
+/// in one sweep over its marginal lane and one joint lane per class
+/// ([`problp_engine::Engine::conditional_batch`]); the per-lane joint
+/// argmax is the prediction. This is the classifier-accuracy
 /// counterpart of Table 2: where the table reports worst-case *error*
 /// per selected format, this reports downstream *accuracy* per format.
 ///

@@ -23,7 +23,8 @@
 //! an error that says what went wrong.
 
 use std::collections::{BTreeMap, HashSet};
-use std::net::SocketAddr;
+use std::io::{self, BufRead, BufReader};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,7 +36,8 @@ use problp_engine::{
 };
 use problp_num::{F64Arith, Flags};
 use problp_telemetry::{
-    http_get, http_post, metric_names, scrape_value, JsonValue, MetricsRegistry, Sidecar,
+    http_get, metric_names, read_response, scrape_value, write_request, HttpResponse, JsonValue,
+    MetricsRegistry, Sidecar,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,8 +70,9 @@ pub enum Shape {
 pub enum Transport {
     /// [`Server::submit`] in process, each round as one burst.
     InProcess,
-    /// `POST /v1/query` through a [`Gateway`], one request at a time.
-    /// An empty token table mints `token-<model>` per hosted model.
+    /// `POST /v1/query` through a [`Gateway`], one request at a time on
+    /// one kept-alive connection per run. An empty token table mints
+    /// `token-<model>` per hosted model.
     Http(GatewayConfig),
 }
 
@@ -539,6 +542,10 @@ impl Stack {
         let mut outcomes: Vec<Outcome> = Vec::new();
         let mut statuses = BTreeMap::new();
         let mut hits_before_replay = None;
+        let mut conn = self
+            .gateway
+            .as_ref()
+            .map(|(g, _)| KeptAlive::new(g.local_addr()));
         let started = Instant::now();
         for round in 0..s.rounds.max(1) {
             if round == 1 {
@@ -550,7 +557,10 @@ impl Stack {
                 if round == 0 && k == mid {
                     self.mid_trace()?;
                 }
-                pending.push((i, self.submit(i, &trace[i].1, &mut statuses)?));
+                pending.push((
+                    i,
+                    self.submit(i, &trace[i].1, conn.as_mut(), &mut statuses)?,
+                ));
             }
             let deadline = Instant::now() + DRAIN_BUDGET;
             for (i, pending) in pending {
@@ -719,17 +729,18 @@ impl Stack {
         Ok(())
     }
 
-    /// Submits trace request `i`: a ticket in process; over HTTP the
-    /// whole round trip, decoded into the `LaneResult` the in-process
-    /// path would have returned.
+    /// Submits trace request `i`: a ticket in process; over HTTP (on
+    /// `conn`) the whole round trip, decoded into the `LaneResult` the
+    /// in-process path would have returned.
     fn submit(
         &self,
         i: usize,
         req: &ServeRequest,
+        conn: Option<&mut KeptAlive>,
         statuses: &mut BTreeMap<u16, u64>,
     ) -> Result<Pending, String> {
         let sent = Instant::now();
-        let Some((gateway, tokens)) = &self.gateway else {
+        let (Some((_, tokens)), Some(conn)) = (&self.gateway, conn) else {
             return match self.server.submit(req.clone()) {
                 Ok(ticket) => Ok(Pending::Ticket(sent, ticket)),
                 Err(e @ ServeError::QuotaExceeded { .. }) => Ok(Pending::Settled(Err(e), None)),
@@ -741,9 +752,9 @@ impl Stack {
             .find_map(|(token, model)| (*model == req.model).then_some(token))
             .ok_or_else(|| format!("no token grants model {:?}", req.model))?;
         let auth = [("Authorization", format!("Bearer {token}"))];
-        let (code, _headers, body) =
-            http_post(&gateway.local_addr(), "/v1/query", &auth, &http_body(req))
-                .map_err(|e| format!("request {i} failed: {e}"))?;
+        let (code, _headers, body) = conn
+            .post("/v1/query", &auth, &http_body(req))
+            .map_err(|e| format!("request {i} failed: {e}"))?;
         let latency = sent.elapsed();
         *statuses.entry(code).or_default() += 1;
         let result = decode_reply(req, self.scenario.config.tenant_quota, code, &body)
@@ -880,6 +891,99 @@ impl Stack {
     }
 }
 
+/// The driver's HTTP/1.1 connection to the gateway, kept alive across
+/// a run's requests so each one skips connect and accept. It reconnects
+/// after the gateway answered `Connection: close`, and resends a
+/// request once on a new connection when the kept-alive one turns out
+/// closed before any reply (the gateway drops connections that idle
+/// past its I/O timeout without reading from them).
+struct KeptAlive {
+    addr: SocketAddr,
+    stream: Option<BufReader<TcpStream>>,
+}
+
+impl KeptAlive {
+    fn new(addr: SocketAddr) -> KeptAlive {
+        KeptAlive { addr, stream: None }
+    }
+
+    /// `POST path` with `body`: the reply's status, headers and body.
+    fn post(
+        &mut self,
+        path: &str,
+        headers: &[(&str, String)],
+        body: &str,
+    ) -> io::Result<HttpResponse> {
+        if self.stream.is_some() {
+            match self.exchange(path, headers, body) {
+                Err(e) if closed_unanswered(&e) => {}
+                answered => return answered,
+            }
+        }
+        self.exchange(path, headers, body)
+    }
+
+    /// One request and its reply on the current connection, opened
+    /// first if there is none; the connection is dropped after a
+    /// failure or a `Connection: close` reply.
+    fn exchange(
+        &mut self,
+        path: &str,
+        headers: &[(&str, String)],
+        body: &str,
+    ) -> io::Result<HttpResponse> {
+        let reader = match &mut self.stream {
+            Some(reader) => reader,
+            None => {
+                let timeout = Duration::from_secs(2);
+                let stream = TcpStream::connect_timeout(&self.addr, timeout)?;
+                stream.set_read_timeout(Some(timeout))?;
+                stream.set_write_timeout(Some(timeout))?;
+                self.stream.insert(BufReader::new(stream))
+            }
+        };
+        let sent = write_request(
+            reader.get_mut(),
+            &self.addr,
+            "POST",
+            path,
+            headers,
+            body.as_bytes(),
+            true,
+        );
+        let reply = sent.and_then(|()| {
+            if reader.fill_buf()?.is_empty() {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "the gateway closed the connection before replying",
+                ));
+            }
+            read_response(reader)
+        });
+        let close = |headers: &[(String, String)]| {
+            headers
+                .iter()
+                .any(|(name, value)| name == "connection" && value.eq_ignore_ascii_case("close"))
+        };
+        if !matches!(&reply, Ok((_, headers, _)) if !close(headers)) {
+            self.stream = None;
+        }
+        reply
+    }
+}
+
+/// Whether a kept-alive exchange failed because the peer had closed the
+/// connection before replying, so the request can go out again.
+fn closed_unanswered(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::BrokenPipe
+    )
+}
+
 fn is_quota(result: &LaneResult<f64>) -> bool {
     matches!(result, Err(ServeError::QuotaExceeded { .. }))
 }
@@ -969,7 +1073,10 @@ fn tree_walk(ac: &AcGraph, req: &ServeRequest) -> Result<TreeWalk, AcError> {
         BatchQuery::Marginal => TreeWalk::Marginal(ac.evaluate(e)?),
         BatchQuery::Mpe => TreeWalk::Mpe(ac.mpe_assignment(e)?.1),
         BatchQuery::Conditional { query_var } => {
-            let den = ac.evaluate(e)?;
+            // The marginal leaves the query variable unobserved.
+            let mut marginal = e.clone();
+            marginal.forget(query_var);
+            let den = ac.evaluate(&marginal)?;
             if den == 0.0 {
                 return Ok(TreeWalk::Exact(Err(ServeError::ImpossibleEvidence)));
             }
@@ -1106,5 +1213,51 @@ mod tests {
         assert!(answer_ok(&ac, &req, &walk, &impossible, &impossible));
         assert!(!answer_ok(&ac, &req, &walk, &impossible, &swapped));
         assert!(!answer_ok(&ac, &req, &walk, &swapped, &swapped));
+    }
+
+    /// The kept-alive connection reconnects after a `Connection: close`
+    /// reply and after the server dropped it unanswered, and otherwise
+    /// reuses it: four requests over three connections, each answered
+    /// once.
+    #[test]
+    fn the_kept_alive_connection_reconnects_only_when_closed() {
+        use problp_telemetry::{read_request, write_response, HttpLimits};
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        // Per connection: how many requests to answer, and whether the
+        // last answer says `Connection: close` (otherwise the server
+        // drops the connection without reading what comes next).
+        let plan = [(1, true), (2, false), (1, true)];
+        let server = std::thread::spawn(move || {
+            let mut answered = Vec::new();
+            for (n, close) in plan {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut reader = BufReader::new(stream);
+                for k in 0..n {
+                    let req = read_request(&mut reader, &HttpLimits::default()).expect("request");
+                    answered.push(String::from_utf8(req.body).expect("utf-8"));
+                    let keep_alive = !(close && k + 1 == n);
+                    let body = format!("{{\"n\": {}}}", answered.len());
+                    write_response(
+                        reader.get_mut(),
+                        200,
+                        "application/json",
+                        &[],
+                        body.as_bytes(),
+                        keep_alive,
+                    )
+                    .expect("reply");
+                }
+            }
+            answered
+        });
+        let mut conn = KeptAlive::new(addr);
+        for i in 1..=4 {
+            let (code, _, body) = conn.post("/v1/query", &[], &format!("q{i}")).expect("post");
+            assert_eq!((code, body), (200, format!("{{\"n\": {i}}}")));
+        }
+        assert_eq!(server.join().expect("server"), ["q1", "q2", "q3", "q4"]);
     }
 }

@@ -122,11 +122,11 @@ where
             }
         }
         QueryType::Conditional => {
-            // Pr(q = s | e) for every state s, served as joint/marginal
-            // lane pairs by the engine's conditional path: one numerator
-            // batch Pr(q = s, e) per state over the shared denominator
-            // batch Pr(e); the ratio is taken outside the AC (paper
-            // §3.2.2, footnote 2).
+            // Pr(q = s | e) for every state s, served by the engine's
+            // conditional path: one sweep over the denominator lanes
+            // Pr(e) and one block of numerator lanes Pr(q = s, e) per
+            // state; the ratio is taken outside the AC (paper §3.2.2,
+            // footnote 2).
             let exact = exact_engine.conditional_batch(batch, query_var)?;
             let lp = lp_engine.conditional_batch(batch, query_var)?;
             flags.merge(lp.flags);

@@ -45,6 +45,7 @@ use problp_num::{Arith, Flags};
 use crate::error::{collect_worker_results, EngineError};
 use crate::fuse::{BinOp, FusedInstr, FusedTape};
 use crate::kernels::{min_nz, scalar_bin_rows, KernelKind, KernelSet};
+use crate::query::TraceOp;
 use crate::tape::{Instr, Tape, TapeMode};
 
 /// Target byte size of one worker's SoA register file: small enough to
@@ -191,6 +192,10 @@ pub struct Engine<A: Arith> {
     fused: Option<FusedTape>,
     /// Retained SoA register files of finished sweeps.
     regfiles: RegFiles<A::Value>,
+    /// The MPE traceback table, built by the first
+    /// [`Engine::mpe_batch`]; engines that never decode MPE never build
+    /// it.
+    pub(crate) trace: OnceLock<Vec<TraceOp>>,
 }
 
 impl<A> Engine<A>
@@ -221,6 +226,7 @@ where
             chunk,
             fused: None,
             regfiles: RegFiles(Mutex::default()),
+            trace: OnceLock::new(),
         }
     }
 
@@ -306,6 +312,7 @@ where
     /// through this computes garbage. Not a stable API.
     #[doc(hidden)]
     pub fn raw_tape_mut(&mut self) -> &mut Tape {
+        self.trace = OnceLock::new();
         &mut self.tape
     }
 

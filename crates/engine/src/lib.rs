@@ -30,7 +30,7 @@
 //!    via max-product argmax traceback on a *full-values* tape
 //!    ([`Tape::compile_full`]: no register reuse, one stable slot per
 //!    node) with exact verification, and **conditional** posteriors as
-//!    joint/marginal lane pairs. The full-values mode also gives the
+//!    one sweep over marginal and joint lanes. The full-values mode also gives the
 //!    max/min value analyses of `problp-bounds` per-node vectors that
 //!    are bit-identical to the scalar walk.
 //!
@@ -49,7 +49,7 @@
 //! See the module docs of [`tape`] (tape layout, tape modes), [`fuse`]
 //! (the peephole rules and their bit-identity argument), [`kernels`]
 //! (the dispatch model and the per-arithmetic vectorization table),
-//! [`query`] (MPE traceback, conditional lane pairs) and the engine
+//! [`query`] (MPE traceback, conditional lane blocks) and the engine
 //! source (`engine.rs`, lane sharding) for the representation details,
 //! and `problp-bench`'s `engine_throughput` bench plus the
 //! `reproduce kernels` study for the measured speedups over the scalar

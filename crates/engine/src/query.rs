@@ -9,23 +9,32 @@
 //! tape backwards from the root: product chains descend into all
 //! operands, max chains descend into the first operand whose value
 //! equals the chain's result, and the indicator leaves reached on the
-//! way name the chosen states. The decoded assignment is then
-//! *verified*: all candidate lanes are re-evaluated fully observed in
-//! one batched sweep, and any lane whose joint value does not reproduce
-//! its max-product root value bit for bit (possible only on circuits
-//! without the smoothness the BN→AC compiler guarantees) falls back to
-//! exact sequential conditioning — so the result is always exact, and
-//! the fast path is one sweep plus one shared verification sweep instead
-//! of the `Σ arity` sweeps of [`problp_ac::AcGraph::mpe_assignment`].
+//! way name the chosen states. The walk reads a per-register table of
+//! producing ops that the engine builds on its first decode and keeps,
+//! and it converts to `f64` only the registers it compares. The decoded
+//! assignment is then *verified*: all candidate lanes are re-evaluated
+//! fully observed in one batched sweep, and any lane whose joint value
+//! does not reproduce its max-product root value bit for bit (possible
+//! only on circuits without the smoothness the BN→AC compiler
+//! guarantees) falls back to exact sequential conditioning — so the
+//! result is always exact, and the fast path is one pass plus one
+//! shared verification sweep instead of the `Σ arity` sweeps of
+//! [`problp_ac::AcGraph::mpe_assignment`].
 //!
-//! # Conditional: joint/marginal lane pairs
+//! # Conditional: one sweep over marginal and joint lanes
 //!
 //! [`Engine::conditional_batch`] serves `Pr(q = s | e)` the way the
-//! paper's hardware does (§3.2.2): one *marginal* (denominator) batch
-//! `Pr(e)` plus one *joint* (numerator) batch `Pr(q = s, e)` per state
-//! `s`, with the final ratio taken outside the circuit. The per-lane
-//! argmax over the joints is the classifier prediction, which is what
-//! the accuracy studies in `problp-bench` consume.
+//! paper's hardware does (§3.2.2): a *marginal* (denominator) `Pr(e)`
+//! and one *joint* (numerator) `Pr(q = s, e)` per state `s`, each a
+//! forward evaluation of the circuit, with the final ratio taken
+//! outside it. All of them run as one sweep over a lane-expanded batch
+//! ([`EvidenceBatch::with_state_blocks`]): a block of marginal lanes
+//! with `q` unobserved, then one block per state with `q` clamped.
+//! Every lane runs the instruction sequence it would run alone, so the
+//! values, the flags and ProbLP's ratio bound are those of separate
+//! sweeps. The per-lane argmax over the joints is the classifier
+//! prediction, which is what the accuracy studies in `problp-bench`
+//! consume.
 
 use problp_ac::Semiring;
 use problp_bayes::{BatchQuery, Evidence, EvidenceBatch, VarId};
@@ -108,13 +117,15 @@ pub enum QueryBatchResult<V> {
     Marginal(BatchResult<V>),
     /// Decoded MPE assignments and values per lane.
     Mpe(MpeBatchResult<V>),
-    /// Posterior lane pairs for a conditional query.
+    /// Posteriors, predictions and lane statuses for a conditional query.
     Conditional(ConditionalBatchResult<V>),
 }
 
 /// The traceback view of one full-tape register: what produced it and
-/// from which operand registers.
-enum TraceOp {
+/// from which operand registers. An engine builds its table of these on
+/// its first MPE decode and keeps it.
+#[derive(Clone, Debug)]
+pub(crate) enum TraceOp {
     /// A pinned parameter register (no producing instruction).
     Const,
     /// Produced by `LoadIndicator` of this slot.
@@ -160,14 +171,16 @@ fn trace_table(tape: &Tape) -> Vec<TraceOp> {
 }
 
 /// Walks the chosen subcircuit from the root, collecting the indicator
-/// states it commits to. Returns `None` when the walk does not determine
-/// a complete, evidence-consistent assignment (conflicting or missing
-/// indicators), in which case the caller falls back to exact sequential
-/// conditioning.
+/// states it commits to. `value(r)` is register `r`'s value as `f64`;
+/// only the registers of the max chains the walk enters and their
+/// operands are asked for. Returns `None` when the walk does not
+/// determine a complete, evidence-consistent assignment (conflicting or
+/// missing indicators), in which case the caller falls back to exact
+/// sequential conditioning.
 fn traceback(
     ops: &[TraceOp],
     tape: &Tape,
-    values: &[f64],
+    value: impl Fn(u32) -> f64,
     observed: impl Fn(usize) -> i32,
 ) -> Option<Vec<usize>> {
     let mut chosen: Vec<Option<usize>> = vec![None; tape.var_count()];
@@ -188,10 +201,8 @@ fn traceback(
                 // Any operand achieving the chain's value witnesses the
                 // max; verification catches the (non-smooth) cases where
                 // the witness does not extend to a global assignment.
-                let target = values[r as usize].to_bits();
-                let pick = children
-                    .iter()
-                    .find(|&&c| values[c as usize].to_bits() == target)?;
+                let target = value(r).to_bits();
+                let pick = children.iter().find(|&&c| value(c).to_bits() == target)?;
                 stack.push(*pick);
             }
         }
@@ -221,7 +232,9 @@ where
     /// Decodes the most probable explanation of every lane: the
     /// completion of the lane's evidence with the highest joint
     /// probability, and that probability (see the module docs for the
-    /// traceback-plus-verification scheme).
+    /// traceback-plus-verification scheme). The first call builds the
+    /// engine's traceback table; later calls, and clones made after it,
+    /// reuse it.
     ///
     /// # Errors
     ///
@@ -282,7 +295,7 @@ where
         }
 
         // Phase 1 (sharded): per-lane full sweep + traceback.
-        let ops = trace_table(&self.tape);
+        let ops = self.trace.get_or_init(|| trace_table(&self.tape));
         let per = self.shard_len(lanes);
         let shards = values
             .chunks_mut(per)
@@ -293,7 +306,6 @@ where
             let mut ctx = self.ctx.clone();
             ctx.clear_flags();
             let mut regs = self.fresh_regs();
-            let mut f64s = vec![0.0f64; regs.len()];
             let lane_iter = vals.iter_mut().zip(asgs.iter_mut()).zip(dones.iter_mut());
             for (i, ((out_v, out_a), out_d)) in lane_iter.enumerate() {
                 let lane = shard * per + i;
@@ -301,11 +313,9 @@ where
                     batch.column(VarId::from_index(var as usize))[lane]
                 });
                 *out_v = regs[self.tape.root_reg() as usize].clone();
-                for (d, r) in f64s.iter_mut().zip(&regs) {
-                    *d = ctx.to_f64(r);
-                }
+                let value = |r: u32| ctx.to_f64(&regs[r as usize]);
                 let observed = |var: usize| batch.column(VarId::from_index(var))[lane];
-                if let Some(a) = traceback(&ops, &self.tape, &f64s, observed) {
+                if let Some(a) = traceback(ops, &self.tape, value, observed) {
                     *out_a = a;
                     *out_d = true;
                 }
@@ -394,13 +404,15 @@ where
     }
 
     /// Serves the conditional posterior `Pr(q = s | e)` for every lane
-    /// and every state `s` of `query_var`: one marginal (denominator)
-    /// sweep plus one joint (numerator) sweep per state, ratios taken
-    /// outside the circuit in `f64` (paper §3.2.2). `predictions` holds
-    /// each lane's joint argmax — the classifier decision.
+    /// and every state `s` of `query_var`: one sweep over the marginal
+    /// (denominator) lanes and one block of joint (numerator) lanes per
+    /// state, ratios taken outside the circuit in `f64` (paper §3.2.2).
+    /// `predictions` holds each lane's joint argmax — the classifier
+    /// decision.
     ///
-    /// Any observation of `query_var` in the batch is overridden by the
-    /// per-state clamping; leave the query variable unobserved.
+    /// An observation of `query_var` in the batch is ignored: the
+    /// marginal lanes leave it unobserved and the joint lanes clamp it,
+    /// so such a lane answers exactly as it would without it.
     ///
     /// Lanes whose marginal `Pr(e)` is exactly zero (impossible
     /// evidence) are marked
@@ -457,23 +469,20 @@ where
         }
         let states = self.tape.var_arities()[query_var.index()];
         let lanes = batch.lanes();
-        let marginals = self.evaluate_batch(batch)?;
-        let mut flags = marginals.flags;
-        let mut joints: Vec<Vec<A::Value>> = Vec::with_capacity(states);
-        // One working copy stepped through the states in place, instead
-        // of a full columnar clone per state.
-        let mut working = batch.clone();
-        for s in 0..states {
-            working.observe_all(query_var, s);
-            let joint = self.evaluate_batch(&working)?;
-            flags.merge(joint.flags);
-            joints.push(joint.values);
-        }
+        // One sweep over `states + 1` blocks of `lanes` lanes: the
+        // marginals, then one joint block per state.
+        let swept = self.evaluate_batch(&batch.with_state_blocks(query_var, states))?;
+        let flags = swept.flags;
+        let mut marginals = swept.values;
+        let joint_lanes = marginals.split_off(lanes);
+        let joints: Vec<Vec<A::Value>> = (0..states)
+            .map(|s| joint_lanes[s * lanes..(s + 1) * lanes].to_vec())
+            .collect();
         let mut posteriors = vec![vec![0.0f64; states]; lanes];
         let mut predictions = vec![0usize; lanes];
         let mut lane_status = vec![ConditionalLaneStatus::Ok; lanes];
         for lane in 0..lanes {
-            let den = self.ctx.to_f64(&marginals.values[lane]);
+            let den = self.ctx.to_f64(&marginals[lane]);
             if den == 0.0 {
                 // Impossible (or fully underflowed) evidence: there is no
                 // posterior. Mark the lane instead of letting `0/0` or
@@ -494,7 +503,7 @@ where
             }
         }
         Ok(ConditionalBatchResult {
-            marginals: marginals.values,
+            marginals,
             joints,
             posteriors,
             predictions,
@@ -521,6 +530,35 @@ where
             BatchQuery::Conditional { query_var } => Ok(QueryBatchResult::Conditional(
                 self.conditional_batch(batch, query_var)?,
             )),
+        }
+    }
+
+    /// The instructions serving `query` over `lanes` lanes executes, as
+    /// `(tape, fused)`: source-tape instructions, and the fused
+    /// superinstructions among them that ran as such. A marginal sweeps
+    /// `lanes` lanes and a conditional `(states + 1) × lanes`, each
+    /// through the fused stream when the engine runs it. An MPE runs
+    /// phase 1 lane by lane on the source tape, then one verification
+    /// sweep; the sequential-conditioning fallback, which only circuits
+    /// without the compiler's smoothness reach, is not counted.
+    pub(crate) fn swept_instrs(&self, query: BatchQuery, lanes: usize) -> (u64, u64) {
+        let sweep = |lanes: usize| {
+            let fused = self.fused_tape().map_or(0, |f| f.instrs().len());
+            (
+                (self.tape.instrs().len() * lanes) as u64,
+                (fused * lanes) as u64,
+            )
+        };
+        match query {
+            BatchQuery::Marginal => sweep(lanes),
+            BatchQuery::Conditional { query_var } => {
+                let states = self.tape.var_arities().get(query_var.index());
+                sweep(states.map_or(0, |s| (s + 1) * lanes))
+            }
+            BatchQuery::Mpe => {
+                let (tape, fused) = sweep(lanes);
+                (2 * tape, fused)
+            }
         }
     }
 }
@@ -566,6 +604,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn mpe_builds_its_trace_table_on_first_use() {
+        let net = networks::sprinkler();
+        let ac = compile(&net).unwrap();
+        let engine = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new()).unwrap();
+        let batch =
+            EvidenceBatch::from_evidences(net.var_count(), &single_and_empty_evidences(&net))
+                .unwrap();
+        // Value sweeps never need the table.
+        engine.evaluate_batch(&batch).unwrap();
+        assert!(engine.trace.get().is_none());
+        let first = engine.mpe_batch(&batch).unwrap();
+        let table = engine.trace.get().expect("built by the first decode") as *const _;
+        let again = engine.mpe_batch(&batch).unwrap();
+        assert!(std::ptr::eq(table, engine.trace.get().unwrap()));
+        assert_eq!(first.assignments, again.assignments);
     }
 
     #[test]
@@ -616,11 +672,28 @@ mod tests {
         let wet = net.find("WetGrass").unwrap();
         let mut e = Evidence::empty(net.var_count());
         e.observe(wet, 1);
-        let batch =
-            EvidenceBatch::from_evidences(net.var_count(), &[e.clone(), Evidence::empty(4)])
-                .unwrap();
+        // Lane 2 also observes the query variable itself.
+        let mut e_rain = e.clone();
+        e_rain.observe(rain, 1);
+        let batch = EvidenceBatch::from_evidences(
+            net.var_count(),
+            &[e.clone(), Evidence::empty(4), e_rain],
+        )
+        .unwrap();
         let cond = engine.conditional_batch(&batch, rain).unwrap();
         assert_eq!(cond.joints.len(), 2);
+        // The marginal leaves the query variable unobserved, so lane 2
+        // answers exactly as lane 0 does.
+        assert_eq!(cond.marginals[2].to_bits(), cond.marginals[0].to_bits());
+        for s in 0..2 {
+            assert_eq!(cond.joints[s][2].to_bits(), cond.joints[s][0].to_bits());
+            assert_eq!(
+                cond.posteriors[2][s].to_bits(),
+                cond.posteriors[0][s].to_bits()
+            );
+        }
+        assert_eq!(cond.predictions[2], cond.predictions[0]);
+        assert_eq!(cond.lane_status[2], ConditionalLaneStatus::Ok);
         for s in 0..2 {
             let oracle = net.conditional(rain, s, &e);
             assert!(

@@ -123,21 +123,13 @@ where
     // concurrent reload republished the model under a new Arc and does
     // not touch this batch.
     let tenant = &job.tenant;
-    // The whole batch sweeps the query's tape once: every lane executes
-    // every instruction.
     let engine = match job.query {
         BatchQuery::Mpe => &tenant.mpe,
         _ => &tenant.sum,
     };
-    let lanes = job.batch.lanes() as u64;
-    metrics
-        .tape_instrs
-        .add(engine.tape().instrs().len() as u64 * lanes);
-    if let Some(fused) = engine.fused_tape() {
-        metrics
-            .fused_instrs
-            .add(fused.instrs().len() as u64 * lanes);
-    }
+    let (tape_instrs, fused_instrs) = engine.swept_instrs(job.query, job.batch.lanes());
+    metrics.tape_instrs.add(tape_instrs);
+    metrics.fused_instrs.add(fused_instrs);
     let started = Instant::now();
     let results = std::panic::catch_unwind(AssertUnwindSafe(|| {
         shared.pool.evaluate_group(tenant, job.query, &job.batch)

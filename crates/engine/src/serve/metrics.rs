@@ -186,11 +186,11 @@ impl ServeMetrics {
             evaluate_us,
             tape_instrs: registry.counter(
                 metric_names::ENGINE_TAPE_INSTRS_TOTAL,
-                "tape instructions executed (instructions x lanes per group)",
+                "tape instructions executed (instructions x lanes swept per group)",
             ),
             fused_instrs: registry.counter(
                 metric_names::ENGINE_FUSED_INSTRS_TOTAL,
-                "fused superinstructions executed (fused instructions x lanes per group)",
+                "fused superinstructions executed (where the fused stream ran)",
             ),
             flag_raises,
             live_workers: registry.gauge(

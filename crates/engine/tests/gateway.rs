@@ -327,6 +327,51 @@ fn impossible_conditional_evidence_is_422() {
     assert_eq!(reference, Err(ServeError::ImpossibleEvidence));
 }
 
+/// A conditional whose evidence also observes its query variable is
+/// answered as if that observation were absent: proper posteriors, bit
+/// for bit those of the same request without it.
+#[test]
+fn conditional_evidence_on_the_query_variable_is_ignored() {
+    let server = two_model_server(ServeConfig::default());
+    let gateway = Gateway::start(
+        Arc::clone(&server),
+        GatewayConfig {
+            tokens: tokens(),
+            ..GatewayConfig::default()
+        },
+    )
+    .expect("start gateway");
+    // Sprinkler: Rain (2) given WetGrass (3) = 1, with and without Rain
+    // itself observed as 1.
+    let posteriors = |entries: &[Option<usize>]| -> Vec<f64> {
+        let body = format!(
+            r#"{{"query": "conditional", "query_var": 2, "evidence": {}}}"#,
+            evidence_json(entries)
+        );
+        let (code, _headers, text) = http_post(
+            &gateway.local_addr(),
+            "/v1/query",
+            &auth("tok-sprinkler"),
+            &body,
+        )
+        .expect("post");
+        assert_eq!(code, 200, "{text}");
+        let doc = JsonValue::parse(&text).expect("response json");
+        doc.get("posteriors")
+            .and_then(JsonValue::as_array)
+            .expect("posteriors")
+            .iter()
+            .map(|v| v.as_f64().expect("posterior"))
+            .collect()
+    };
+    let observed = posteriors(&[None, None, Some(1), Some(1)]);
+    let plain = posteriors(&[None, None, None, Some(1)]);
+    let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&observed), bits(&plain));
+    assert!((observed[0] - 0.2921).abs() < 1e-4, "{observed:?}");
+    assert!((observed.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+}
+
 #[test]
 fn quota_pressure_is_429_with_retry_after() {
     // Long coalescing wait + quota 2: two requests sit queued while the

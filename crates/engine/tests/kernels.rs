@@ -7,12 +7,16 @@
 //! across sweeps is pinned here too: a sweep never sees what an earlier
 //! one left behind.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
 
 use problp_ac::{compile, transform::binarize, Semiring};
 use problp_bayes::{networks, Evidence, EvidenceBatch, VarId};
-use problp_engine::{Engine, FusedInstr, FusedTape, KernelKind, Tape, LANE_WIDTH};
-use problp_num::{F64Arith, FixedArith, FixedFormat, Flags};
+use problp_engine::{
+    BinOp, Engine, FusedInstr, FusedTape, KernelKind, KernelSet, Tape, LANE_WIDTH,
+};
+use problp_num::{Arith, F64Arith, FixedArith, FixedFormat, Flags};
 
 const SEMIRINGS: [Semiring; 3] = [
     Semiring::SumProduct,
@@ -323,6 +327,121 @@ fn queries_agree_across_kernels() {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+}
+
+/// `f64` arithmetic that logs the lane count of every row-kernel
+/// dispatch, shared across the clones each sweep takes.
+#[derive(Clone, Debug, Default)]
+struct CountingArith {
+    inner: F64Arith,
+    dispatches: Arc<Mutex<Vec<usize>>>,
+}
+
+impl CountingArith {
+    fn log(&self, n: usize) {
+        self.dispatches.lock().unwrap().push(n);
+    }
+}
+
+impl Arith for CountingArith {
+    type Value = f64;
+
+    fn from_f64(&mut self, x: f64) -> f64 {
+        self.inner.from_f64(x)
+    }
+    fn to_f64(&self, v: &f64) -> f64 {
+        self.inner.to_f64(v)
+    }
+    fn zero(&mut self) -> f64 {
+        self.inner.zero()
+    }
+    fn one(&mut self) -> f64 {
+        self.inner.one()
+    }
+    fn add(&mut self, a: &f64, b: &f64) -> f64 {
+        self.inner.add(a, b)
+    }
+    fn mul(&mut self, a: &f64, b: &f64) -> f64 {
+        self.inner.mul(a, b)
+    }
+    fn max(&mut self, a: &f64, b: &f64) -> f64 {
+        self.inner.max(a, b)
+    }
+    fn min(&mut self, a: &f64, b: &f64) -> f64 {
+        self.inner.min(a, b)
+    }
+    fn flags(&self) -> Flags {
+        self.inner.flags()
+    }
+    fn clear_flags(&mut self) {
+        self.inner.clear_flags()
+    }
+}
+
+impl KernelSet for CountingArith {
+    fn bin_rows(&mut self, op: BinOp, regs: &mut [f64], d: usize, a: usize, b: usize, n: usize) {
+        self.log(n);
+        self.inner.bin_rows(op, regs, d, a, b, n);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn mul_acc_rows(
+        &mut self,
+        op: BinOp,
+        regs: &mut [f64],
+        d: usize,
+        acc: usize,
+        a: usize,
+        b: usize,
+        n: usize,
+    ) {
+        self.log(n);
+        self.inner.mul_acc_rows(op, regs, d, acc, a, b, n);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn reduce_rows(
+        &mut self,
+        op: BinOp,
+        regs: &mut [f64],
+        chunk: usize,
+        d: usize,
+        first: usize,
+        rest: &[u32],
+        n: usize,
+    ) {
+        self.log(n);
+        self.inner.reduce_rows(op, regs, chunk, d, first, rest, n);
+    }
+}
+
+/// A 1-lane conditional is one sweep, as the pool builds its engines
+/// (fused, one thread): every row kernel of the fused stream is
+/// dispatched once, over the marginal lane plus one joint lane per
+/// state, not once per state.
+#[test]
+fn a_one_lane_conditional_is_one_sweep() {
+    let net = networks::sprinkler();
+    let ac = compile(&net).unwrap();
+    let ctx = CountingArith::default();
+    let engine = Engine::from_graph(&ac, Semiring::SumProduct, ctx.clone())
+        .unwrap()
+        .with_threads(1)
+        .with_kernel(KernelKind::Fused);
+    let row_ops = engine
+        .fused_tape()
+        .unwrap()
+        .instrs()
+        .iter()
+        .filter(|i| !matches!(i, FusedInstr::LoadIndicator { .. }))
+        .count();
+    let rain = net.find("Rain").unwrap();
+    let batch = EvidenceBatch::from_evidences(net.var_count(), &[Evidence::empty(net.var_count())])
+        .unwrap();
+    ctx.dispatches.lock().unwrap().clear();
+    let cond = engine.conditional_batch(&batch, rain).unwrap();
+    assert!(cond.lane_status[0].is_ok());
+    assert_eq!(*ctx.dispatches.lock().unwrap(), vec![3; row_ops]);
 }
 
 /// One batch of the register-file reuse test with its reference

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use problp_ac::{compile, transform::binarize, Semiring};
 use problp_bayes::{networks, Evidence, EvidenceBatch, VarId};
-use problp_engine::{Engine, Tape};
+use problp_engine::{ConditionalLaneStatus, Engine, KernelKind, KernelSet, Tape};
 use problp_num::{Arith, F64Arith, FixedArith, FixedFormat, FloatArith, FloatFormat};
 
 /// A random network's seed plus per-variable observation picks.
@@ -207,19 +207,25 @@ proptest! {
 
     /// Batched MPE decoding matches the scalar sequential-conditioning
     /// decoder: identical max-product values (bit for bit) and decoded
-    /// assignments that achieve them.
+    /// assignments that achieve them. Every lane of a multi-lane batch
+    /// decodes exactly what its evidence decodes alone in a 1-lane
+    /// batch, on a fresh engine (which builds its traceback table on
+    /// that call) and on a clone of the engine that already decoded.
     #[test]
     fn mpe_batch_matches_the_scalar_decoder_on_random_networks(
         seed in 0u64..120,
         picks in proptest::collection::vec(0usize..100, 6),
+        lanes in 1usize..24,
     ) {
         let net = networks::random_network(seed, 6, 2, 3);
         let ac = compile(&net).unwrap();
-        let e = evidence_from_picks(&net, &picks);
-        let evidences = [Evidence::empty(net.var_count()), e];
+        let evidences: Vec<Evidence> = (0..lanes)
+            .map(|lane| evidence_from_picks(&net, &lane_picks(&picks, lane)))
+            .collect();
         let batch = EvidenceBatch::from_evidences(net.var_count(), &evidences).unwrap();
         let engine = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new()).unwrap();
         let mpe = engine.mpe_batch(&batch).unwrap();
+        let clone = engine.clone();
         for (lane, e) in evidences.iter().enumerate() {
             let (_, oracle_value) = ac.mpe_assignment(e).unwrap();
             prop_assert_eq!(mpe.values[lane].to_bits(), oracle_value.to_bits(), "lane {}", lane);
@@ -228,38 +234,52 @@ proptest! {
             for (var, s) in e.iter() {
                 prop_assert_eq!(mpe.assignments[lane][var.index()], s);
             }
+            let alone = EvidenceBatch::from_evidences(net.var_count(), std::slice::from_ref(e))
+                .unwrap();
+            let fresh = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new())
+                .unwrap();
+            for (which, one) in [("fresh", &fresh), ("clone", &clone)] {
+                let one = one.mpe_batch(&alone).unwrap();
+                prop_assert_eq!(&one.assignments[0], &mpe.assignments[lane], "{} lane {}", which, lane);
+                prop_assert_eq!(one.values[0].to_bits(), mpe.values[lane].to_bits());
+            }
         }
     }
 
-    /// Batched conditional serving matches the scalar per-state
-    /// evaluation bit for bit (the ratio is the same f64 division).
+    /// Batched conditional serving matches the per-state oracle — one
+    /// `evaluate_batch` for the marginals with the query variable
+    /// unobserved, one per clamped state — lane by lane and bit for bit,
+    /// at 0–70 lanes, on 1 and 3 threads, under both kernels, in `f64`
+    /// and in a fixed format narrow enough to underflow some marginals.
+    /// Lanes may observe the query variable; the marginal ignores it.
     #[test]
     fn conditional_batch_matches_scalar_ratios(
         seed in 0u64..120,
         picks in proptest::collection::vec(0usize..100, 6),
         qv in 0usize..6,
+        lanes in 0usize..71,
     ) {
         let net = networks::random_network(seed, 6, 2, 3);
         let ac = compile(&net).unwrap();
         let query_var = VarId::from_index(qv % net.var_count());
-        let mut e = evidence_from_picks(&net, &picks);
-        e.forget(query_var);
-        let batch = EvidenceBatch::from_evidences(
-            net.var_count(),
-            std::slice::from_ref(&e),
-        ).unwrap();
-        let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
-        let cond = engine.conditional_batch(&batch, query_var).unwrap();
-        let den = ac.evaluate(&e).unwrap();
-        for s in 0..net.variable(query_var).arity() {
-            let mut with_q = e.clone();
-            with_q.observe(query_var, s);
-            let num = ac.evaluate(&with_q).unwrap();
-            prop_assert_eq!(
-                cond.posteriors[0][s].to_bits(),
-                (num / den).to_bits(),
-                "state {}", s
-            );
+        let evidences: Vec<Evidence> = (0..lanes)
+            .map(|lane| evidence_from_picks(&net, &lane_picks(&picks, lane)))
+            .collect();
+        let batch = EvidenceBatch::from_evidences(net.var_count(), &evidences).unwrap();
+        let narrow = FixedArith::new(FixedFormat::new(1, 6).unwrap());
+        for threads in [1, 3] {
+            for kernel in [KernelKind::Scalar, KernelKind::Fused] {
+                let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
+                    .unwrap()
+                    .with_threads(threads)
+                    .with_kernel(kernel);
+                check_conditional(&engine, &evidences, &batch, query_var)?;
+                let engine = Engine::from_graph(&ac, Semiring::SumProduct, narrow)
+                    .unwrap()
+                    .with_threads(threads)
+                    .with_kernel(kernel);
+                check_conditional(&engine, &evidences, &batch, query_var)?;
+            }
         }
     }
 
@@ -295,6 +315,93 @@ proptest! {
             prop_assert_eq!(one.to_bits(), sharded.values[lane].to_bits());
         }
     }
+}
+
+/// Per-lane observation picks: the shared picks shifted by the lane
+/// index, so lanes observe different variables and states.
+fn lane_picks(picks: &[usize], lane: usize) -> Vec<usize> {
+    picks
+        .iter()
+        .enumerate()
+        .map(|(v, p)| p + lane * (v + 1))
+        .collect()
+}
+
+/// Holds `engine.conditional_batch(batch, query_var)` to the per-state
+/// oracle: the marginals are one `evaluate_batch` of the lanes with
+/// `query_var` forgotten, each joint block one with it clamped.
+fn check_conditional<A>(
+    engine: &Engine<A>,
+    evidences: &[Evidence],
+    batch: &EvidenceBatch,
+    query_var: VarId,
+) -> Result<(), TestCaseError>
+where
+    A: KernelSet + Clone + Send + Sync,
+    A::Value: Clone + Send + Sync,
+{
+    let var_count = batch.var_count();
+    let clamped = |state: Option<usize>| {
+        let lanes: Vec<Evidence> = evidences
+            .iter()
+            .map(|e| {
+                let mut e = e.clone();
+                match state {
+                    Some(s) => e.observe(query_var, s),
+                    None => e.forget(query_var),
+                }
+                e
+            })
+            .collect();
+        EvidenceBatch::from_evidences(var_count, &lanes).unwrap()
+    };
+    let bits = |v: &A::Value| engine.context().to_f64(v).to_bits();
+    let states = engine.tape().var_arities()[query_var.index()];
+    let cond = engine.conditional_batch(batch, query_var).unwrap();
+    let marginals = engine.evaluate_batch(&clamped(None)).unwrap();
+    let mut flags = marginals.flags;
+    let joints: Vec<Vec<A::Value>> = (0..states)
+        .map(|s| {
+            let joint = engine.evaluate_batch(&clamped(Some(s))).unwrap();
+            flags.merge(joint.flags);
+            joint.values
+        })
+        .collect();
+    prop_assert_eq!(cond.flags, flags);
+    prop_assert_eq!(cond.joints.len(), states);
+    prop_assert_eq!(cond.marginals.len(), evidences.len());
+    for lane in 0..evidences.len() {
+        prop_assert_eq!(bits(&cond.marginals[lane]), bits(&marginals.values[lane]));
+        for (s, (got, want)) in cond.joints.iter().zip(&joints).enumerate() {
+            prop_assert_eq!(
+                bits(&got[lane]),
+                bits(&want[lane]),
+                "lane {} state {}",
+                lane,
+                s
+            );
+        }
+        let den = engine.context().to_f64(&marginals.values[lane]);
+        if den == 0.0 {
+            prop_assert_eq!(
+                cond.lane_status[lane],
+                ConditionalLaneStatus::ImpossibleEvidence
+            );
+            prop_assert!(cond.posteriors[lane].iter().all(|p| p.is_nan()));
+            continue;
+        }
+        prop_assert_eq!(cond.lane_status[lane], ConditionalLaneStatus::Ok);
+        let mut prediction = (0, f64::NEG_INFINITY);
+        for (s, joint) in joints.iter().enumerate() {
+            let num = engine.context().to_f64(&joint[lane]);
+            prop_assert_eq!(cond.posteriors[lane][s].to_bits(), (num / den).to_bits());
+            if num > prediction.1 {
+                prediction = (s, num);
+            }
+        }
+        prop_assert_eq!(cond.predictions[lane], prediction.0, "lane {}", lane);
+    }
+    Ok(())
 }
 
 /// Helper: evaluate one reconstructed lane through a fresh engine.

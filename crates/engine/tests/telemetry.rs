@@ -6,11 +6,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use problp_ac::compile;
+use problp_ac::{compile, Semiring};
 use problp_bayes::{networks, BatchQuery, Evidence};
-use problp_engine::{CircuitPool, Priority, ServeConfig, ServeError, ServeRequest, Server};
+use problp_engine::{
+    CircuitPool, Engine, KernelKind, Priority, ServeConfig, ServeError, ServeRequest, Server,
+};
 use problp_num::F64Arith;
-use problp_telemetry::{metric_names, MetricsRegistry};
+use problp_telemetry::{metric_names, scrape_value, MetricsRegistry};
 
 fn two_model_pool() -> CircuitPool<F64Arith> {
     let mut pool = CircuitPool::new(F64Arith::new());
@@ -154,10 +156,65 @@ fn instrumented_server_renders_prometheus_series() {
         "{}_bucket{{query=\"marginal\",priority=\"interactive\",le=\"+Inf\"}}",
         metric_names::SERVE_SOJOURN_US
     )));
-    // Three lanes dispatched → the engine counters moved.
-    let instrs = registry.counter(metric_names::ENGINE_TAPE_INSTRS_TOTAL, "");
-    assert!(instrs.get() > 0, "tape instruction counter never moved");
     assert_eq!(server.metrics().render_prometheus(), text);
+    server.shutdown();
+}
+
+/// The instruction counters count the lanes each query sweeps: a
+/// marginal sweeps its lane once, a conditional its marginal plus one
+/// joint lane per state, and an MPE its traceback pass on the source
+/// tape plus one fused verification sweep.
+#[test]
+fn instruction_counters_follow_the_sweeps_of_each_query_kind() {
+    let net = networks::sprinkler();
+    let ac = compile(&net).unwrap();
+    let mut pool = CircuitPool::new(F64Arith::new());
+    pool.register("sprinkler", &ac).unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let server = Server::start_instrumented(pool, ServeConfig::default(), Arc::clone(&registry));
+    let rain = net.find("Rain").unwrap();
+    let queries = [
+        BatchQuery::Marginal,
+        BatchQuery::Conditional { query_var: rain },
+        BatchQuery::Mpe,
+    ];
+    for query in queries {
+        let ticket = server
+            .submit(ServeRequest {
+                query,
+                ..request("sprinkler", net.var_count(), Priority::Interactive)
+            })
+            .unwrap();
+        assert!(ticket.wait().is_ok(), "{query:?}");
+    }
+    // The pool's engines, built the way it builds them.
+    let built = |semiring, full| {
+        let engine = if full {
+            Engine::from_graph_full(&ac, semiring, F64Arith::new())
+        } else {
+            Engine::from_graph(&ac, semiring, F64Arith::new())
+        };
+        let engine = engine.unwrap().with_kernel(KernelKind::Fused);
+        let fused = engine.fused_tape().unwrap().instrs().len() as f64;
+        (engine.tape().instrs().len() as f64, fused)
+    };
+    let (sum_tape, sum_fused) = built(Semiring::SumProduct, false);
+    let (mpe_tape, mpe_fused) = built(Semiring::MaxProduct, true);
+    // Marginal: 1 lane; conditional on binary Rain: 3 lanes; MPE: two
+    // passes, one of them fused.
+    let tape = sum_tape * (1.0 + 3.0) + mpe_tape * 2.0;
+    let fused = sum_fused * (1.0 + 3.0) + mpe_fused;
+    let scrape = registry.render_prometheus();
+    assert_eq!(
+        scrape_value(&scrape, metric_names::ENGINE_TAPE_INSTRS_TOTAL),
+        Some(tape),
+        "{scrape}"
+    );
+    assert_eq!(
+        scrape_value(&scrape, metric_names::ENGINE_FUSED_INSTRS_TOTAL),
+        Some(fused),
+        "{scrape}"
+    );
     server.shutdown();
 }
 

@@ -704,6 +704,33 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
     Ok((code, headers, body))
 }
 
+/// Writes one `method path` request to `addr` with an exact
+/// `Content-Length`, plus `headers` and, unless `keep_alive`,
+/// `Connection: close`. Head and body go out in one write, for the
+/// reason [`write_response`] gives.
+pub fn write_request(
+    stream: &mut impl Write,
+    addr: &SocketAddr,
+    method: &str,
+    path: &str,
+    headers: &[(&str, String)],
+    body: &[u8],
+    keep_alive: bool,
+) -> io::Result<()> {
+    let mut out = Vec::with_capacity(256 + body.len());
+    write!(out, "{method} {path} HTTP/1.1\r\nHost: {addr}\r\n")?;
+    if !keep_alive {
+        out.extend_from_slice(b"Connection: close\r\n");
+    }
+    for (name, value) in headers {
+        write!(out, "{name}: {value}\r\n")?;
+    }
+    write!(out, "Content-Length: {}\r\n\r\n", body.len())?;
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
+    stream.flush()
+}
+
 /// Issues one `method path` request against `addr` with `Connection:
 /// close`, a 2-second connect/read/write timeout, and returns
 /// `(status, headers, body)` via [`read_response`].
@@ -718,17 +745,7 @@ pub fn http_request(
     let mut stream = TcpStream::connect_timeout(addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    write_request(&mut stream, addr, method, path, headers, body, false)?;
     read_response(&mut BufReader::new(stream))
 }
 

@@ -50,7 +50,8 @@ pub mod sidecar;
 
 pub use httpd::{
     drain_rejected, http_post, http_request, read_request, read_response, status_reason,
-    write_response, HttpError, HttpLimits, HttpRequest, HttpResponse, Listener, Worker,
+    write_request, write_response, HttpError, HttpLimits, HttpRequest, HttpResponse, Listener,
+    Worker,
 };
 pub use json::{JsonError, JsonValue};
 pub use registry::{
@@ -106,18 +107,21 @@ pub mod metric_names {
     /// Histogram, label `query`: engine evaluate wall time per
     /// dispatched group, microseconds.
     pub const ENGINE_EVALUATE_US: &str = "problp_engine_evaluate_us";
-    /// Counter: tape instructions executed, summed as
-    /// `instructions × lanes` per dispatched group. Pool engines run the
+    /// Counter: tape instructions executed, summed as `instructions ×
+    /// lanes swept` per dispatched group. A marginal sweeps its lanes
+    /// once, a conditional `(states + 1) × lanes` (the marginals plus
+    /// one joint block per state), and an MPE twice: the lane-by-lane
+    /// traceback pass plus one verification sweep. Pool engines run the
     /// fused kernel, so this counts the *unfused* stream — the work the
-    /// sweep answers for — while [`ENGINE_FUSED_INSTRS_TOTAL`] counts
-    /// the superinstructions it actually dispatched; the ratio of the
-    /// two is the live fusion rate.
+    /// sweeps answer for — while [`ENGINE_FUSED_INSTRS_TOTAL`] counts
+    /// the superinstructions actually dispatched.
     pub const ENGINE_TAPE_INSTRS_TOTAL: &str = "problp_engine_tape_instrs_total";
-    /// Counter: fused superinstructions executed, summed as
-    /// `fused instructions × lanes` per dispatched group (every pool
-    /// engine runs the `fused` kernel); compare against
-    /// [`ENGINE_TAPE_INSTRS_TOTAL`] for the dispatch amplification
-    /// fusion removed.
+    /// Counter: fused superinstructions executed, summed as `fused
+    /// instructions × lanes` over the sweeps that ran the fused stream:
+    /// every marginal and conditional sweep, and an MPE's verification
+    /// sweep but not its traceback pass, which runs the source tape.
+    /// Compare against [`ENGINE_TAPE_INSTRS_TOTAL`] for the dispatch
+    /// amplification fusion removed.
     pub const ENGINE_FUSED_INSTRS_TOTAL: &str = "problp_engine_fused_instrs_total";
     /// Counter, label `flag` ∈ {`overflow`, `underflow`, `inexact`,
     /// `invalid`}: groups whose evaluation raised the sticky flag.

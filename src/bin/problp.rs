@@ -33,7 +33,7 @@
 //! versus the batched execution engine (`problp::engine`) at the given
 //! batch size (`--threads 0` = all cores) — for all three query kinds:
 //! marginal sweeps, MPE decoding (max-product argmax traceback) and
-//! conditional posteriors (joint/marginal lane pairs). `--kernel`
+//! conditional posteriors (marginal and joint lanes, one sweep). `--kernel`
 //! selects the engine's evaluator core: the fused superinstruction
 //! stream the serving pool runs (the default) or the scalar reference
 //! walk (bit-identical; see `problp::engine::KernelKind`).

@@ -97,7 +97,7 @@
 //! let marginals = engine.evaluate_batch(&batch)?;
 //! assert!((marginals.values[0] - 1.0).abs() < 1e-12);
 //!
-//! // Conditionals: joint/marginal lane pairs, ratio outside the AC.
+//! // Conditionals: marginal and joint lanes in one sweep, ratio outside the AC.
 //! let rain = network.find("Rain").unwrap();
 //! let cond = engine.conditional_batch(&batch, rain)?;
 //! assert!((cond.posteriors[0].iter().sum::<f64>() - 1.0).abs() < 1e-9);
