@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # ThreadSanitizer pass over the concurrency-sensitive paths: the lock-free
-# telemetry registry (atomic counter merges), the serve-layer request
-# coalescing (dispatcher shards + waiter handoff) and the HTTP listener's
-# shutdown (stop flag, idle-connection close and self-connect wake).
+# telemetry registry (atomic counter merges), the engine's register-file
+# free list (shared by every sweep's shards and callers), the serve-layer
+# request coalescing (dispatcher shards + waiter handoff) and the HTTP
+# listener's shutdown (stop flag, idle-connection close and self-connect
+# wake).
 #
 # TSan needs a nightly toolchain (-Zsanitizer=thread) and, for a fully
 # instrumented std, -Zbuild-std + the rust-src component. The job is
@@ -26,16 +28,21 @@ rustup component add rust-src --toolchain nightly >/dev/null 2>&1 || true
 
 TARGET=x86_64-unknown-linux-gnu
 
-# The four tests TSan gates: the registry's cross-thread counter sum,
-# the end-to-end coalescing trace (batched answers handed back to
-# per-request waiters across shards, under a 200 us linger), the
-# zero-wait burst (two dispatchers racing for groups the moment they
-# are queued: the default policy) and the gateway shutdown with an
-# idle kept-alive connection (the stopping flag and the idle-connection
-# handles shared by the caller, the accept thread and the workers).
+# The five tests TSan gates: the registry's cross-thread counter sum,
+# register-file reuse (3 engine shards, then 4 concurrent callers, on
+# one engine's free list, which batch, one-lane flagged and MPE sweeps
+# all take files from and return them to), the end-to-end coalescing
+# trace (batched answers handed back to per-request waiters across
+# shards, under a 200 us linger), the zero-wait burst (two dispatchers
+# racing for groups the moment they are queued: the default policy) and
+# the gateway shutdown with an idle kept-alive connection (the stopping
+# flag and the idle-connection handles shared by the caller, the accept
+# thread and the workers).
 run_tests() {
     cargo +nightly test "$@" --target "$TARGET" \
         -p problp-telemetry concurrent_counter_increments_sum_exactly &&
+    cargo +nightly test "$@" --target "$TARGET" \
+        -p problp-engine --test kernels register_file_reuse_leaks_nothing &&
     cargo +nightly test "$@" --target "$TARGET" \
         -p problp-engine --lib mixed_tenant_trace_is_bit_identical_to_serve_one &&
     cargo +nightly test "$@" --target "$TARGET" \

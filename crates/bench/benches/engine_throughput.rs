@@ -1,6 +1,6 @@
 //! Criterion bench for the `problp-engine` execution subsystem: scalar
-//! tree-walk vs single-lane tape vs batched multi-threaded tape on the
-//! Alarm circuit, at batch sizes 1 / 64 / 1024, plus the UniMiB
+//! tree-walk vs one-lane tape sweeps vs batched multi-threaded tape on
+//! the Alarm circuit, at batch sizes 1 / 64 / 1024, plus the UniMiB
 //! classifier's conditional and MPE serving paths at 1 / 64 lanes on
 //! engines built the way the serving pool builds them.
 //!
@@ -53,7 +53,8 @@ fn bench_engine_throughput(c: &mut Criterion) {
             })
         });
 
-        // Flat tape, one lane at a time (no SoA, no threads).
+        // One lane at a time: `evaluate_one` is a one-lane batch sweep
+        // (one-lane SoA register file, no threads).
         c.bench_function(&format!("tape_single_lane/{lanes}"), |b| {
             b.iter(|| {
                 let mut acc = 0.0;

@@ -820,8 +820,9 @@ pub fn rate_of(mut f: impl FnMut(), evals_per_call: usize) -> f64 {
 }
 
 /// Measures bulk marginal-inference throughput on the Alarm circuit:
-/// scalar tree-walk vs single-lane tape vs the batched multi-threaded
-/// engine, at the given batch sizes. `threads = 0` uses all cores.
+/// scalar tree-walk vs one-lane sweeps (`Engine::evaluate_one`) vs the
+/// batched multi-threaded engine, at the given batch sizes. `threads =
+/// 0` uses all cores.
 pub fn throughput_points(batch_sizes: &[usize], threads: usize) -> Vec<ThroughputPoint> {
     use problp_ac::Semiring;
     use problp_bayes::{Evidence, EvidenceBatch};

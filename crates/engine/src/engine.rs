@@ -1,13 +1,22 @@
 //! The batched, multi-threaded tape evaluator.
 //!
-//! # Lane sharding and the SoA register file
+//! # One sweep, lane sharding and the SoA register file
 //!
-//! [`Engine::evaluate_batch`] processes N evidence instances ("lanes")
-//! per tape sweep. Lanes are split into contiguous shards of at least
+//! Every entry point of the engine reads its answers out of one sweep,
+//! `Engine::sweep`: it runs the kernel [`Engine::with_kernel`] selected
+//! over a contiguous lane range in blocks of at most a given number of
+//! lanes, and hands each finished block's register file to a read-out.
+//! [`Engine::evaluate_batch`] copies the root row of each block,
+//! [`Engine::evaluate_batch_flagged`] sweeps one-lane blocks,
+//! [`Engine::evaluate_one`] is a one-lane [`Engine::evaluate_batch`],
+//! [`Engine::evaluate_nodes_one`] copies a one-lane file, and
+//! [`Engine::mpe_batch`] runs its traceback on each block's file.
+//!
+//! Lanes are split into contiguous shards of at least
 //! [`MIN_LANES_PER_THREAD`] lanes, at most one per worker thread. One
 //! shard runs inline on the caller's thread; several run on scoped
 //! threads (`std::thread::scope`, no dependencies). [`run_shards`] is
-//! the one runner behind every sharded entry point. Each shard owns a
+//! the one runner behind every sharded entry point. Each shard sweeps a
 //! structure-of-arrays register file laid out `[register][lane]`:
 //!
 //! ```text
@@ -16,25 +25,25 @@
 //!
 //! so every instruction becomes a tight loop over one destination row and
 //! up to two source rows — contiguous streams the compiler can vectorize
-//! and the prefetcher can follow. Shards further tile their lanes into
+//! and the prefetcher can follow. Batch sweeps tile a shard's lanes into
 //! blocks of [`Engine::chunk`] lanes so the whole register file stays
 //! cache-resident regardless of batch size. Parameter constants are
 //! converted via [`Arith::from_f64`] once at engine construction and
-//! broadcast into their pinned rows once per shard.
+//! broadcast into their pinned rows once per sweep.
 //!
-//! Register files are reused: a shard takes one from a small free list
+//! Register files are reused: a sweep takes one from a small free list
 //! on the engine, re-initialises it (zero fill, parameter broadcast) and
-//! hands it back when the sweep ends, so steady-state serving allocates
-//! no register memory. The list retains at most one file per
-//! concurrently sweeping shard, and only files no larger than the
-//! default block's (~512 KiB); a cloned engine starts with an empty list.
+//! hands it back when it ends, so steady-state serving allocates no
+//! register memory. The list retains at most one file per concurrently
+//! sweeping shard, and only files no larger than the default block's
+//! (~512 KiB); a cloned engine starts with an empty list.
 //!
 //! Flag capture comes in two grades: [`Engine::evaluate_batch`] returns
 //! the sticky [`Flags`] aggregated over the whole batch (what
 //! `measure_errors` needs), while [`Engine::evaluate_batch_flagged`]
-//! re-runs lane-major with a fresh context per lane and reports
-//! per-lane flags — the input the fixed/float range analyses need to
-//! pinpoint which instance violated a format's range.
+//! sweeps one lane per block, clearing the flags between blocks, and
+//! reports per-lane flags — the input the fixed/float range analyses
+//! need to pinpoint which instance violated a format's range.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -44,7 +53,7 @@ use problp_num::{Arith, Flags};
 
 use crate::error::{collect_worker_results, EngineError};
 use crate::fuse::{BinOp, FusedInstr, FusedTape};
-use crate::kernels::{min_nz, scalar_bin_rows, KernelKind, KernelSet};
+use crate::kernels::{scalar_bin_rows, KernelKind, KernelSet};
 use crate::query::TraceOp;
 use crate::tape::{Instr, Tape, TapeMode};
 
@@ -186,8 +195,8 @@ pub struct Engine<A: Arith> {
     pub(crate) zero: A::Value,
     pub(crate) one: A::Value,
     pub(crate) threads: usize,
-    chunk: usize,
-    /// The fused superinstruction stream batch sweeps run, present iff
+    pub(crate) chunk: usize,
+    /// The fused superinstruction stream every sweep runs, present iff
     /// the engine runs the [`KernelKind::Fused`] core.
     fused: Option<FusedTape>,
     /// Retained SoA register files of finished sweeps.
@@ -267,17 +276,12 @@ where
         self
     }
 
-    /// Selects the evaluator core batch sweeps run through (see
+    /// Selects the evaluator core every entry point sweeps through (see
     /// [`KernelKind`] and the [`crate::kernels`] module docs). The
     /// default is [`KernelKind::Scalar`] — the reference path the fused
     /// core is proven bit-identical to. [`KernelKind::Fused`] runs the
     /// tape through the peephole fuser ([`Tape::fuse`]) here, once; it is
     /// what every [`crate::CircuitPool`] engine runs.
-    ///
-    /// The scalar single-instance paths ([`Engine::evaluate_one`],
-    /// [`Engine::evaluate_nodes_one`]) and the per-lane flag capture
-    /// ([`Engine::evaluate_batch_flagged`]) always run the reference
-    /// instruction stream regardless of this setting.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.fused = match kernel {
             KernelKind::Fused => Some(self.tape.fuse()),
@@ -371,19 +375,31 @@ where
         let lanes = batch.lanes();
         let mut values: Vec<A::Value> = vec![self.zero.clone(); lanes];
         let mut flags = self.const_flags;
+        let root = self.tape.root_reg() as usize;
         let per = self.shard_len(lanes);
         let shards = values.chunks_mut(per).enumerate();
-        for f in run_shards(shards, |(i, out)| self.sweep_range(batch, i * per, out))? {
+        let shard_flags = run_shards(shards, |(i, out)| {
+            self.sweep(
+                batch,
+                i * per,
+                out.len(),
+                self.chunk,
+                |regs, chunk, at, n, _| {
+                    out[at..at + n].clone_from_slice(&regs[root * chunk..root * chunk + n]);
+                },
+            )
+        })?;
+        for f in shard_flags {
             flags.merge(f);
         }
         Ok(BatchResult { values, flags })
     }
 
     /// Like [`Engine::evaluate_batch`], but captures the sticky flags of
-    /// every lane individually (fresh context per lane) — the per-instance
-    /// range-violation report the fixed/float analyses consume.
+    /// every lane individually — the per-instance range-violation report
+    /// the fixed/float analyses consume.
     ///
-    /// This runs lane-major (no SoA inner loop), so prefer
+    /// This sweeps one lane per block, so prefer
     /// [`Engine::evaluate_batch`] when aggregate flags suffice.
     ///
     /// # Errors
@@ -397,13 +413,18 @@ where
         let lanes = batch.lanes();
         let mut values: Vec<A::Value> = vec![self.zero.clone(); lanes];
         let mut lane_flags: Vec<Flags> = vec![Flags::new(); lanes];
+        let root = self.tape.root_reg() as usize;
         let per = self.shard_len(lanes);
         let shards = values
             .chunks_mut(per)
             .zip(lane_flags.chunks_mut(per))
             .enumerate();
         run_shards(shards, |(i, (vals, flgs))| {
-            self.sweep_lane_major(batch, i * per, vals, flgs)
+            self.sweep(batch, i * per, vals.len(), 1, |regs, _, at, _, mut f| {
+                vals[at] = regs[root].clone();
+                f.merge(self.const_flags);
+                flgs[at] = f;
+            })
         })?;
         let mut flags = Flags::new();
         for f in &lane_flags {
@@ -416,32 +437,17 @@ where
         })
     }
 
-    /// Evaluates a single evidence instance on the scalar tape path (no
-    /// threads, no SoA blocking): the latency-oriented little sibling of
+    /// Evaluates a single evidence instance: a one-lane
     /// [`Engine::evaluate_batch`].
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::BatchLengthMismatch`] on an evidence length
-    /// mismatch.
+    /// mismatch, and [`EngineError::WorkerPanic`] if the sweep panicked.
     pub fn evaluate_one(&self, evidence: &Evidence) -> Result<(A::Value, Flags), EngineError> {
-        if evidence.len() != self.tape.var_count() {
-            return Err(EngineError::BatchLengthMismatch {
-                batch: evidence.len(),
-                circuit: self.tape.var_count(),
-            });
-        }
-        let mut ctx = self.ctx.clone();
-        ctx.clear_flags();
-        let mut regs = self.fresh_regs();
-        self.run_instrs(&mut ctx, &mut regs, |var| {
-            evidence
-                .state(VarId::from_index(var as usize))
-                .map_or(-1, |s| s as i32)
-        });
-        let mut flags = ctx.flags();
-        flags.merge(self.const_flags);
-        Ok((regs[self.tape.root_reg() as usize].clone(), flags))
+        let BatchResult { mut values, flags } = self.evaluate_batch(&one_lane(evidence))?;
+        let value = values.pop().expect("a one-lane batch has one root value");
+        Ok((value, flags))
     }
 
     /// Evaluates a single evidence instance on a **full-values** tape,
@@ -464,82 +470,33 @@ where
         if self.tape.mode() != TapeMode::Full {
             return Err(EngineError::NeedsFullValues);
         }
-        if evidence.len() != self.tape.var_count() {
-            return Err(EngineError::BatchLengthMismatch {
-                batch: evidence.len(),
-                circuit: self.tape.var_count(),
-            });
-        }
-        let mut ctx = self.ctx.clone();
-        ctx.clear_flags();
-        let mut regs = self.fresh_regs();
-        self.run_instrs(&mut ctx, &mut regs, |var| {
-            evidence
-                .state(VarId::from_index(var as usize))
-                .map_or(-1, |s| s as i32)
-        });
-        let mut flags = ctx.flags();
+        let batch = one_lane(evidence);
+        self.check_batch(&batch)?;
+        let mut values = Vec::new();
+        let mut flags = self.sweep(&batch, 0, 1, 1, |regs, _, _, _, _| values = regs.to_vec());
         flags.merge(self.const_flags);
-        Ok((regs, flags))
+        Ok((values, flags))
     }
 
-    /// A zero-filled scalar register file with the parameter constants
-    /// broadcast into their pinned registers.
-    pub(crate) fn fresh_regs(&self) -> Vec<A::Value> {
-        let mut regs: Vec<A::Value> = vec![self.zero.clone(); self.tape.num_regs()];
-        for (c, &r) in self.consts.iter().zip(self.tape.param_regs()) {
-            regs[r as usize] = c.clone();
-        }
-        regs
-    }
-
-    /// Runs the instruction stream once over a scalar register file.
-    /// `observed(var)` returns the evidence state of `var` or a negative
-    /// value when the variable is unobserved (the [`UNOBSERVED`] column
-    /// convention of [`EvidenceBatch`]).
-    ///
-    /// [`UNOBSERVED`]: problp_bayes::UNOBSERVED
-    pub(crate) fn run_instrs(
+    /// The engine's one sweep: runs the selected kernel over lanes
+    /// `start..start + lanes` of `batch` in blocks of at most `block`
+    /// lanes, through one register file from the free list, and hands
+    /// each finished block to `read(regs, chunk, at, n, flags)`. The
+    /// block holds the `n` lanes from `start + at` on; register `r` of
+    /// its lane `l` is `regs[r * chunk + l]`, and `flags` are the sticky
+    /// flags the block raised. Returns the OR of every block's flags
+    /// (parameter-conversion flags not included).
+    pub(crate) fn sweep(
         &self,
-        ctx: &mut A,
-        regs: &mut [A::Value],
-        observed: impl Fn(u32) -> i32,
-    ) {
-        for instr in self.tape.instrs() {
-            match *instr {
-                Instr::LoadIndicator { dst, slot } => {
-                    let (var, state) = self.tape.slot(slot);
-                    let o = observed(var);
-                    regs[dst as usize] = if o >= 0 && o != state as i32 {
-                        self.zero.clone()
-                    } else {
-                        self.one.clone()
-                    };
-                }
-                Instr::Add { dst, lhs, rhs } => {
-                    regs[dst as usize] = ctx.add(&regs[lhs as usize], &regs[rhs as usize]);
-                }
-                Instr::Mul { dst, lhs, rhs } => {
-                    regs[dst as usize] = ctx.mul(&regs[lhs as usize], &regs[rhs as usize]);
-                }
-                Instr::Max { dst, lhs, rhs } => {
-                    regs[dst as usize] = ctx.max(&regs[lhs as usize], &regs[rhs as usize]);
-                }
-                Instr::MinNz { dst, lhs, rhs } => {
-                    regs[dst as usize] = min_nz(ctx, &regs[lhs as usize], &regs[rhs as usize]);
-                }
-            }
-        }
-    }
-
-    /// SoA sweep of the contiguous lane range starting at `start`, writing
-    /// root values into `out` (whose length determines the range) and
-    /// returning the shard's sticky flags.
-    fn sweep_range(&self, batch: &EvidenceBatch, start: usize, out: &mut [A::Value]) -> Flags {
+        batch: &EvidenceBatch,
+        start: usize,
+        lanes: usize,
+        block: usize,
+        mut read: impl FnMut(&[A::Value], usize, usize, usize, Flags),
+    ) -> Flags {
         let mut ctx = self.ctx.clone();
-        ctx.clear_flags();
         let num_regs = self.tape.num_regs();
-        let chunk = self.chunk.min(out.len().max(1));
+        let chunk = block.min(lanes).max(1);
         // A reused file is re-initialised exactly as a fresh one would
         // be: zero everywhere, then the parameter rows.
         let mut regs = self.regfiles.lock().pop().unwrap_or_default();
@@ -550,30 +507,29 @@ where
         // them as a destination.
         for (c, &p) in self.consts.iter().zip(self.tape.param_regs()) {
             let p = p as usize;
-            for slot in &mut regs[p * chunk..p * chunk + chunk] {
-                *slot = c.clone();
-            }
+            regs[p * chunk..p * chunk + chunk].fill(c.clone());
         }
-        let mut done = 0;
-        while done < out.len() {
-            let n = chunk.min(out.len() - done);
-            let base = start + done;
+        let mut flags = Flags::new();
+        let mut at = 0;
+        while at < lanes {
+            let n = chunk.min(lanes - at);
+            ctx.clear_flags();
             match &self.fused {
                 Some(fused) => {
-                    self.sweep_chunk_fused(&mut ctx, batch, fused, &mut regs, chunk, base, n);
+                    self.sweep_chunk_fused(&mut ctx, batch, fused, &mut regs, chunk, start + at, n);
                 }
-                None => self.sweep_chunk_scalar(&mut ctx, batch, &mut regs, chunk, base, n),
+                None => self.sweep_chunk_scalar(&mut ctx, batch, &mut regs, chunk, start + at, n),
             }
-            let root = self.tape.root_reg() as usize * chunk;
-            out[done..done + n].clone_from_slice(&regs[root..root + n]);
-            done += n;
+            read(&regs, chunk, at, n, ctx.flags());
+            flags.merge(ctx.flags());
+            at += n;
         }
         // Retain only files no larger than the default block's.
         let value_bytes = std::mem::size_of::<A::Value>();
         if regs.capacity() <= num_regs * default_chunk(num_regs, value_bytes) {
             self.regfiles.lock().push(regs);
         }
-        ctx.flags()
+        flags
     }
 
     /// Broadcasts one indicator slot into its destination row.
@@ -693,30 +649,13 @@ where
             }
         }
     }
+}
 
-    /// Lane-major sweep used by [`Engine::evaluate_batch_flagged`]: one
-    /// scalar register file, cleared flags per lane.
-    fn sweep_lane_major(
-        &self,
-        batch: &EvidenceBatch,
-        start: usize,
-        out: &mut [A::Value],
-        flags_out: &mut [Flags],
-    ) {
-        let mut ctx = self.ctx.clone();
-        let mut regs = self.fresh_regs();
-        for (i, (out_v, out_f)) in out.iter_mut().zip(flags_out.iter_mut()).enumerate() {
-            let lane = start + i;
-            ctx.clear_flags();
-            self.run_instrs(&mut ctx, &mut regs, |var| {
-                batch.column(VarId::from_index(var as usize))[lane]
-            });
-            *out_v = regs[self.tape.root_reg() as usize].clone();
-            let mut f = ctx.flags();
-            f.merge(self.const_flags);
-            *out_f = f;
-        }
-    }
+/// A one-lane batch of `evidence`.
+fn one_lane(evidence: &Evidence) -> EvidenceBatch {
+    let mut batch = EvidenceBatch::new(evidence.len());
+    batch.push(evidence);
+    batch
 }
 
 #[cfg(test)]

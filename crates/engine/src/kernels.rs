@@ -2,7 +2,7 @@
 //!
 //! # Dispatch model
 //!
-//! [`crate::Engine::evaluate_batch`] runs one of two evaluator cores,
+//! Every [`crate::Engine`] sweep runs one of two evaluator cores,
 //! selected by [`KernelKind`] (see [`crate::Engine::with_kernel`]):
 //!
 //! * **`Scalar`** — the reference: per-instruction loops through the
@@ -47,8 +47,8 @@ use crate::fuse::BinOp;
 /// (or one AVX-512 vector), small enough to live in registers.
 pub const LANE_WIDTH: usize = 8;
 
-/// Which evaluator core [`crate::Engine::evaluate_batch`] dispatches
-/// through. Selected per engine by [`crate::Engine::with_kernel`].
+/// Which evaluator core an [`crate::Engine`]'s sweeps dispatch through.
+/// Selected per engine by [`crate::Engine::with_kernel`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum KernelKind {
     /// Reference scalar loops (the engine default).

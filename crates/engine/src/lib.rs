@@ -22,7 +22,9 @@
 //!    `[register][lane]`, lanes are sharded across `std::thread`
 //!    workers, and sticky [`problp_num::Flags`] are captured per batch
 //!    ([`Engine::evaluate_batch`]) or per lane
-//!    ([`Engine::evaluate_batch_flagged`]).
+//!    ([`Engine::evaluate_batch_flagged`]). Every entry point, the
+//!    single-instance ones and the MPE traceback included, reads its
+//!    answer out of the same sweep.
 //!
 //! 3. Beyond marginals, the engine serves the paper's other two query
 //!    kinds in bulk ([`query`], dispatched by [`Engine::evaluate_query`]
@@ -34,7 +36,7 @@
 //!    max/min value analyses of `problp-bounds` per-node vectors that
 //!    are bit-identical to the scalar walk.
 //!
-//! 4. Batch sweeps dispatch through one of two evaluator cores
+//! 4. That sweep dispatches through one of two evaluator cores
 //!    ([`kernels`], selected by [`Engine::with_kernel`]): the reference
 //!    **scalar** per-instruction loops, and the **fused**
 //!    superinstruction stream ([`Tape::fuse`] collapses accumulator
@@ -50,10 +52,10 @@
 //! (the peephole rules and their bit-identity argument), [`kernels`]
 //! (the dispatch model and the per-arithmetic vectorization table),
 //! [`query`] (MPE traceback, conditional lane blocks) and the engine
-//! source (`engine.rs`, lane sharding) for the representation details,
-//! and `problp-bench`'s `engine_throughput` bench plus the
-//! `reproduce kernels` study for the measured speedups over the scalar
-//! tree-walk.
+//! source (`engine.rs`, the sweep and lane sharding) for the
+//! representation details, and `problp-bench`'s `engine_throughput`
+//! bench plus the `reproduce kernels` study for the measured speedups
+//! over the scalar tree-walk.
 //!
 //! # Examples
 //!

@@ -4,9 +4,11 @@
 //!
 //! A max-product sweep yields the MPE *value* `max_x Pr(x, e)` in one
 //! pass (paper §3.2.1); [`Engine::mpe_batch`] also recovers the
-//! maximizing *assignment* per lane. It runs each lane through the
-//! full-values tape (every node keeps a stable register), then walks the
-//! tape backwards from the root: product chains descend into all
+//! maximizing *assignment* per lane. It sweeps the batch through the
+//! full-values tape (every node keeps a stable register, and fusion
+//! keeps every register's final value), on the engine's kernel like any
+//! other sweep. Then, on each finished lane block, it walks each lane's
+//! registers backwards from the root: product chains descend into all
 //! operands, max chains descend into the first operand whose value
 //! equals the chain's result, and the indicator leaves reached on the
 //! way name the chosen states. The walk reads a per-register table of
@@ -17,9 +19,8 @@
 //! does not reproduce its max-product root value bit for bit (possible
 //! only on circuits without the smoothness the BN→AC compiler
 //! guarantees) falls back to exact sequential conditioning — so the
-//! result is always exact, and the fast path is one pass plus one
-//! shared verification sweep instead of the `Σ arity` sweeps of
-//! [`problp_ac::AcGraph::mpe_assignment`].
+//! result is always exact, and the fast path is two sweeps instead of
+//! the `Σ arity` sweeps of [`problp_ac::AcGraph::mpe_assignment`].
 //!
 //! # Conditional: one sweep over marginal and joint lanes
 //!
@@ -286,16 +287,11 @@ where
         let mut values: Vec<A::Value> = vec![self.zero.clone(); lanes];
         let mut decoded: Vec<bool> = vec![false; lanes];
         let mut flags = self.const_flags;
-        if lanes == 0 {
-            return Ok(MpeBatchResult {
-                assignments,
-                values,
-                flags,
-            });
-        }
 
-        // Phase 1 (sharded): per-lane full sweep + traceback.
+        // Phase 1 (sharded): one full-tape sweep, with each lane's
+        // traceback read off its finished block.
         let ops = self.trace.get_or_init(|| trace_table(&self.tape));
+        let root = self.tape.root_reg() as usize;
         let per = self.shard_len(lanes);
         let shards = values
             .chunks_mut(per)
@@ -303,24 +299,25 @@ where
             .zip(decoded.chunks_mut(per))
             .enumerate();
         let shard_flags = run_shards(shards, |(shard, ((vals, asgs), dones))| {
-            let mut ctx = self.ctx.clone();
-            ctx.clear_flags();
-            let mut regs = self.fresh_regs();
-            let lane_iter = vals.iter_mut().zip(asgs.iter_mut()).zip(dones.iter_mut());
-            for (i, ((out_v, out_a), out_d)) in lane_iter.enumerate() {
-                let lane = shard * per + i;
-                self.run_instrs(&mut ctx, &mut regs, |var| {
-                    batch.column(VarId::from_index(var as usize))[lane]
-                });
-                *out_v = regs[self.tape.root_reg() as usize].clone();
-                let value = |r: u32| ctx.to_f64(&regs[r as usize]);
-                let observed = |var: usize| batch.column(VarId::from_index(var))[lane];
-                if let Some(a) = traceback(ops, &self.tape, value, observed) {
-                    *out_a = a;
-                    *out_d = true;
-                }
-            }
-            ctx.flags()
+            let start = shard * per;
+            self.sweep(
+                batch,
+                start,
+                vals.len(),
+                self.chunk,
+                |regs, chunk, at, n, _| {
+                    for l in 0..n {
+                        let (i, lane) = (at + l, start + at + l);
+                        vals[i] = regs[root * chunk + l].clone();
+                        let value = |r: u32| self.ctx.to_f64(&regs[r as usize * chunk + l]);
+                        let observed = |var: usize| batch.column(VarId::from_index(var))[lane];
+                        if let Some(a) = traceback(ops, &self.tape, value, observed) {
+                            asgs[i] = a;
+                            dones[i] = true;
+                        }
+                    }
+                },
+            )
         })?;
         for f in shard_flags {
             flags.merge(f);
@@ -536,11 +533,11 @@ where
     /// The instructions serving `query` over `lanes` lanes executes, as
     /// `(tape, fused)`: source-tape instructions, and the fused
     /// superinstructions among them that ran as such. A marginal sweeps
-    /// `lanes` lanes and a conditional `(states + 1) × lanes`, each
-    /// through the fused stream when the engine runs it. An MPE runs
-    /// phase 1 lane by lane on the source tape, then one verification
-    /// sweep; the sequential-conditioning fallback, which only circuits
-    /// without the compiler's smoothness reach, is not counted.
+    /// `lanes` lanes, a conditional `(states + 1) × lanes` and an MPE
+    /// `2 × lanes` (the traceback sweep, then one verification sweep),
+    /// each through the fused stream when the engine runs it. The MPE's
+    /// sequential-conditioning fallback, which only circuits without the
+    /// compiler's smoothness reach, is not counted.
     pub(crate) fn swept_instrs(&self, query: BatchQuery, lanes: usize) -> (u64, u64) {
         let sweep = |lanes: usize| {
             let fused = self.fused_tape().map_or(0, |f| f.instrs().len());
@@ -555,10 +552,7 @@ where
                 let states = self.tape.var_arities().get(query_var.index());
                 sweep(states.map_or(0, |s| (s + 1) * lanes))
             }
-            BatchQuery::Mpe => {
-                let (tape, fused) = sweep(lanes);
-                (2 * tape, fused)
-            }
+            BatchQuery::Mpe => sweep(2 * lanes),
         }
     }
 }

@@ -190,7 +190,7 @@ impl ServeMetrics {
             ),
             fused_instrs: registry.counter(
                 metric_names::ENGINE_FUSED_INSTRS_TOTAL,
-                "fused superinstructions executed (where the fused stream ran)",
+                "fused superinstructions executed (fused instructions x lanes swept per group)",
             ),
             flag_raises,
             live_workers: registry.gauge(

@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use problp_ac::{compile, transform::binarize, Semiring};
-use problp_bayes::{networks, Evidence, EvidenceBatch, VarId};
+use problp_ac::{compile, transform::binarize, AcGraph, Semiring};
+use problp_bayes::{networks, BayesNetBuilder, Evidence, EvidenceBatch, VarId};
 use problp_engine::{
     BinOp, Engine, FusedInstr, FusedTape, KernelKind, KernelSet, Tape, LANE_WIDTH,
 };
@@ -109,6 +109,31 @@ fn assert_lane_flags_consistent(flags: Flags, lane_flags: &[Flags]) {
     assert_eq!(merged, flags, "aggregate flags != OR of per-lane flags");
 }
 
+/// The comparison behind the fixed-point tests: on every semiring, a
+/// fused engine's flagged sweep returns the scalar engine's values bit
+/// for bit and its per-lane sticky flags.
+fn assert_fused_flagged_matches_scalar(ac: &AcGraph, batch: &EvidenceBatch, format: FixedFormat) {
+    for semiring in SEMIRINGS {
+        let engine = Engine::from_graph(ac, semiring, FixedArith::new(format)).unwrap();
+        let reference = engine.evaluate_batch_flagged(batch).unwrap();
+        assert_lane_flags_consistent(reference.flags, &reference.lane_flags);
+        let got = engine
+            .with_kernel(KernelKind::Fused)
+            .evaluate_batch_flagged(batch)
+            .unwrap();
+        assert_eq!(got.lane_flags, reference.lane_flags, "{semiring:?}");
+        assert_eq!(got.flags, reference.flags, "{semiring:?}");
+        for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
+            assert_eq!(
+                r.to_f64().to_bits(),
+                g.to_f64().to_bits(),
+                "{semiring:?} lanes {} lane {lane}",
+                batch.lanes()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -150,22 +175,8 @@ proptest! {
     ) {
         let net = networks::random_network(seed, 6, 2, 3);
         let ac = compile(&net).unwrap();
-        let batch = varied_batch(&net, lanes);
         let format = FixedFormat::new(1, frac).unwrap();
-        for semiring in SEMIRINGS {
-            let engine = Engine::from_graph(&ac, semiring, FixedArith::new(format)).unwrap();
-            let reference = engine.evaluate_batch_flagged(&batch).unwrap();
-            let fast = engine.clone().with_kernel(KernelKind::Fused);
-            let got = fast.evaluate_batch_flagged(&batch).unwrap();
-            prop_assert_eq!(got.flags, reference.flags, "{:?}", semiring);
-            prop_assert_eq!(&got.lane_flags, &reference.lane_flags);
-            for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
-                prop_assert_eq!(
-                    r.to_f64().to_bits(), g.to_f64().to_bits(),
-                    "{:?} lane {}", semiring, lane
-                );
-            }
-        }
+        assert_fused_flagged_matches_scalar(&ac, &varied_batch(&net, lanes), format);
     }
 
     /// Fusion on full-values tapes must keep every register's final
@@ -231,24 +242,7 @@ fn remainder_lanes_match_scalar_values_and_flags() {
     let ac = compile(&net).unwrap();
     let format = FixedFormat::new(1, 10).unwrap();
     for lanes in [1, LANE_WIDTH - 1, LANE_WIDTH, LANE_WIDTH + 1, 13, 31, 97] {
-        let batch = varied_batch(&net, lanes);
-        for semiring in SEMIRINGS {
-            // Fixed point: inexact is sticky per lane.
-            let engine = Engine::from_graph(&ac, semiring, FixedArith::new(format)).unwrap();
-            let reference = engine.evaluate_batch_flagged(&batch).unwrap();
-            assert_lane_flags_consistent(reference.flags, &reference.lane_flags);
-            let fast = engine.clone().with_kernel(KernelKind::Fused);
-            let got = fast.evaluate_batch_flagged(&batch).unwrap();
-            assert_eq!(got.lane_flags, reference.lane_flags, "{semiring:?}");
-            assert_eq!(got.flags, reference.flags);
-            for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
-                assert_eq!(
-                    r.to_f64().to_bits(),
-                    g.to_f64().to_bits(),
-                    "{semiring:?} lanes {lanes} lane {lane}"
-                );
-            }
-        }
+        assert_fused_flagged_matches_scalar(&ac, &varied_batch(&net, lanes), format);
     }
     // The low-precision format actually exercises the sticky path: at
     // 10 fractional bits the Alarm CPTs cannot all be exact.
@@ -257,6 +251,30 @@ fn remainder_lanes_match_scalar_values_and_flags() {
         .with_kernel(KernelKind::Fused);
     let got = engine.evaluate_batch(&varied_batch(&net, 97)).unwrap();
     assert!(got.flags.inexact, "regression batch never went inexact");
+
+    // Every Alarm lane is inexact from converting its parameters, which
+    // would hide a kernel that drops its flags. A 12-variable chain of
+    // dyadic CPTs is exact in this format: the empty evidence evaluates
+    // to exactly 1.0, flag-clean, while the fully observed lane reaches
+    // 2^-12, below the format, so only its own sweep raises flags.
+    let mut b = BayesNetBuilder::new();
+    let mut prev = b.variable("X0", 2);
+    b.cpt(prev, [], [0.5, 0.5]).unwrap();
+    for i in 1..12 {
+        let v = b.variable(format!("X{i}"), 2);
+        b.cpt(v, [prev], [0.5, 0.5, 0.5, 0.5]).unwrap();
+        prev = v;
+    }
+    let chain = compile(&b.build().unwrap()).unwrap();
+    let lanes = [Evidence::empty(12), Evidence::from_assignment(&[0; 12])];
+    let batch = EvidenceBatch::from_evidences(12, &lanes).unwrap();
+    assert_fused_flagged_matches_scalar(&chain, &batch, format);
+    let sum = Engine::from_graph(&chain, Semiring::SumProduct, FixedArith::new(format)).unwrap();
+    let lane_flags = sum.evaluate_batch_flagged(&batch).unwrap().lane_flags;
+    assert_ne!(
+        lane_flags[0], lane_flags[1],
+        "the chain's lanes raise the same flags"
+    );
 }
 
 /// The fused engine on a real circuit actually fuses something — the
@@ -284,8 +302,8 @@ fn fusion_finds_superinstructions_on_alarm() {
 }
 
 /// MPE and conditional serving agree across kernels: the scalar
-/// traceback is the oracle, and the fused kernel only touches the
-/// batched value sweeps feeding it.
+/// engine's answers are the oracle, and the fused engine runs every
+/// sweep on the fused stream, the one its MPE traceback reads included.
 #[test]
 fn queries_agree_across_kernels() {
     let net = networks::asia();

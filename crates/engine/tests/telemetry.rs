@@ -162,8 +162,8 @@ fn instrumented_server_renders_prometheus_series() {
 
 /// The instruction counters count the lanes each query sweeps: a
 /// marginal sweeps its lane once, a conditional its marginal plus one
-/// joint lane per state, and an MPE its traceback pass on the source
-/// tape plus one fused verification sweep.
+/// joint lane per state, and an MPE its lane twice: the fused traceback
+/// sweep plus one fused verification sweep.
 #[test]
 fn instruction_counters_follow_the_sweeps_of_each_query_kind() {
     let net = networks::sprinkler();
@@ -201,9 +201,9 @@ fn instruction_counters_follow_the_sweeps_of_each_query_kind() {
     let (sum_tape, sum_fused) = built(Semiring::SumProduct, false);
     let (mpe_tape, mpe_fused) = built(Semiring::MaxProduct, true);
     // Marginal: 1 lane; conditional on binary Rain: 3 lanes; MPE: two
-    // passes, one of them fused.
+    // fused sweeps.
     let tape = sum_tape * (1.0 + 3.0) + mpe_tape * 2.0;
-    let fused = sum_fused * (1.0 + 3.0) + mpe_fused;
+    let fused = sum_fused * (1.0 + 3.0) + mpe_fused * 2.0;
     let scrape = registry.render_prometheus();
     assert_eq!(
         scrape_value(&scrape, metric_names::ENGINE_TAPE_INSTRS_TOTAL),

@@ -110,18 +110,17 @@ pub mod metric_names {
     /// Counter: tape instructions executed, summed as `instructions ×
     /// lanes swept` per dispatched group. A marginal sweeps its lanes
     /// once, a conditional `(states + 1) × lanes` (the marginals plus
-    /// one joint block per state), and an MPE twice: the lane-by-lane
-    /// traceback pass plus one verification sweep. Pool engines run the
-    /// fused kernel, so this counts the *unfused* stream — the work the
-    /// sweeps answer for — while [`ENGINE_FUSED_INSTRS_TOTAL`] counts
-    /// the superinstructions actually dispatched.
+    /// one joint block per state), and an MPE twice: the traceback sweep
+    /// plus one verification sweep. Pool engines run the fused kernel,
+    /// so this counts the *unfused* stream — the work the sweeps answer
+    /// for — while [`ENGINE_FUSED_INSTRS_TOTAL`] counts the
+    /// superinstructions actually dispatched.
     pub const ENGINE_TAPE_INSTRS_TOTAL: &str = "problp_engine_tape_instrs_total";
     /// Counter: fused superinstructions executed, summed as `fused
-    /// instructions × lanes` over the sweeps that ran the fused stream:
-    /// every marginal and conditional sweep, and an MPE's verification
-    /// sweep but not its traceback pass, which runs the source tape.
-    /// Compare against [`ENGINE_TAPE_INSTRS_TOTAL`] for the dispatch
-    /// amplification fusion removed.
+    /// instructions × lanes swept` per dispatched group over the same
+    /// sweeps as [`ENGINE_TAPE_INSTRS_TOTAL`], both of an MPE's
+    /// included. Compare the two for the dispatch amplification fusion
+    /// removed.
     pub const ENGINE_FUSED_INSTRS_TOTAL: &str = "problp_engine_fused_instrs_total";
     /// Counter, label `flag` ∈ {`overflow`, `underflow`, `inexact`,
     /// `invalid`}: groups whose evaluation raised the sticky flag.
